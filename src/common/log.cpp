@@ -83,8 +83,9 @@ class CrashDumpRegistry
                     all += std::string("(dump callback failed: ") +
                            e.what() + ")";
                 } catch (...) {
-                    // lint: allowed-swallow -- a throwing dump callback
-                    // must never escape the panic path itself.
+                    // dbsim-analyze: allow(convention-catch-swallow) --
+                    // a throwing dump callback must never escape the
+                    // panic path itself.
                     all += "(dump callback failed)";
                 }
                 if (!all.empty() && all.back() != '\n')

@@ -8,8 +8,7 @@
  * sleep long enough for the host-side item deadline to expire.  The plan
  * is consulted by SweepRunner::runOne through a test-only hook, so every
  * isolation, retry, journaling and resume path can be driven from tests
- * and from tools/dbsim-faultsim with fully reproducible failures --
- * nothing here is randomized.
+ * with fully reproducible failures -- nothing here is randomized.
  */
 
 #ifndef DBSIM_CORE_FAULT_PLAN_HPP

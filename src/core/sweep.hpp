@@ -237,7 +237,7 @@ class SweepRunner
     /**
      * Test-only hook: consult @p plan (not owned; may be nullptr) before
      * each (item, attempt) and fire any scheduled fault.  Used by the
-     * fault-injection tests and tools/dbsim-faultsim.
+     * fault-injection tests.
      */
     void setFaultPlan(const FaultPlan *plan) { fault_plan_ = plan; }
 

@@ -26,8 +26,6 @@ namespace dbsim::net {
 /**
  * A unit-capacity resource with a busy-until reservation horizon.
  */
-// dbsim-analyze: shared(contended bandwidth resource: serialization across requesters is the modeled contention itself)
-// dbsim-analyze: owner(fabric)
 class Resource
 {
   public:

@@ -26,8 +26,6 @@ namespace dbsim::mem {
  * Lazily materialized bin-hopping page table shared by all processes
  * (the database's shared memory means most pages are shared anyway).
  */
-// dbsim-analyze: shared(machine-wide page table: first-touch NUMA placement needs one global allocation sequence; TLBs shard the fast path)
-// dbsim-analyze: owner(pagemap)
 class PageMap
 {
   public:

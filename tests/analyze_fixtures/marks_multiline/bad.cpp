@@ -1,13 +1,17 @@
-// Seeded violation guarding the placement rule: a mark AFTER the
-// terminating ';' binds forward only (the statement is closed), so it
-// does NOT cover the preceding declaration and the shared member stays
-// unannotated.
-class Scheduler
+// Seeded violation guarding the mark-pairing fix: a standalone mark
+// inside a still-open multi-line declaration binds backward to the
+// declaration (as well as forward), so entries_ keeps its guarded_by()
+// contract and the unlocked write is reported.
+#include <mutex>
+
+class Ledger
 {
   public:
-    int pickNext() { return static_cast<int>(++picks_); }
+    void bumpUnlocked() { entries_ += 1; }
 
   private:
-    unsigned long long picks_ = 0;
-    // dbsim-analyze: shared(too late: binds forward, not to picks_)
+    std::mutex mu_;
+    unsigned long long entries_ =
+        // dbsim-analyze: guarded_by(mu_)
+        0;
 };

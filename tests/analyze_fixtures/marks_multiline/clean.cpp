@@ -1,15 +1,16 @@
-// Regression for the mark-pairing fix: a standalone mark inside a
-// still-open multi-line declaration attaches backward to the
-// declaration's last code line (as well as forward), so a field whose
-// initializer spans lines keeps its shared()/owner() contract.
-class CoherenceFabric
+// Clean twin for the placement rule: a mark AFTER the terminating ';'
+// binds forward only (the statement is closed), so it does NOT cover
+// the preceding declaration and the unlocked write is not a guarded
+// access.
+#include <mutex>
+
+class Tally
 {
   public:
-    void read(unsigned long long a) { grants_ = grants_ + a; }
+    void bump() { count_ += 1; }
 
   private:
-    unsigned long long grants_ =
-        // dbsim-analyze: shared(one grant counter aggregated at the directory)
-        // dbsim-analyze: owner(fabric)
-        0;
+    std::mutex mu_;
+    unsigned long long count_ = 0;
+    // dbsim-analyze: guarded_by(mu_)
 };

@@ -29,7 +29,6 @@ using dbsim::analyze::Corpus;
 using dbsim::analyze::DeclIndex;
 using dbsim::analyze::Finding;
 using dbsim::analyze::Options;
-using dbsim::analyze::OwnershipEntry;
 using dbsim::analyze::Result;
 using dbsim::analyze::RuleInfo;
 
@@ -91,8 +90,6 @@ const SeededCase kSeeded[] = {
     {"convention_catch", "convention-catch-swallow", "bad.cpp", 1},
     // pointer bits + wall clock + unsorted unordered iteration
     {"checkpoint_purity", "checkpoint-purity", "bad.cpp", 3},
-    // grants (via containment) + counters_ + reads_, all unmarked
-    {"ownership_shard", "shard-ownership", "bad_fabric.hpp", 3},
     {"hotpath_tick", "hotpath-allocation", "bad.cpp", 1},
     {"hotpath_tick", "hotpath-map-lookup", "bad.cpp", 1},
     {"hotpath_tick", "hotpath-virtual", "bad.cpp", 1},
@@ -260,7 +257,7 @@ TEST(Analyze, SarifHasThe210Shape)
 TEST(Analyze, RuleCatalogIsConsistent)
 {
     const auto &catalog = dbsim::analyze::ruleCatalog();
-    EXPECT_EQ(catalog.size(), 24u);
+    EXPECT_EQ(catalog.size(), 22u);
     for (const RuleInfo &r : catalog) {
         EXPECT_TRUE(dbsim::analyze::knownRule(r.id));
         EXPECT_FALSE(std::string(r.description).empty());
@@ -355,64 +352,6 @@ TEST(CallGraph, OverloadsOverApproximate)
     EXPECT_EQ(lookups_called, 2u);
     // Overloads are NOT tick-reachable here: probeAll hangs off no root.
     EXPECT_FALSE(g.graph.tick_reachable[probe]);
-}
-
-// ---------------------------------------------------------------------
-// Ownership map over the real tree: the machine-checked entry ticket
-// for sharding the directory (ROADMAP item 2).
-// ---------------------------------------------------------------------
-
-TEST(Analyze, SrcOwnershipMapIsCompleteForTheMshrPath)
-{
-    Options opt;
-    opt.corpus_root = std::string(DBSIM_REPO_ROOT) + "/src";
-    opt.rules = {"shard-ownership"};
-    Result r;
-    std::string err;
-    ASSERT_TRUE(dbsim::analyze::runAnalysis(opt, r, err)) << err;
-
-    // The acceptance bar: zero unannotated findings with no baseline.
-    for (const Finding &f : r.findings)
-        ADD_FAILURE() << f.file << ":" << f.line << " " << f.message;
-
-    // Every mutable MSHR member the tick path touches is classified
-    // node-local (the L1/L2 miss tracking is per-node by design).
-    auto ownership = [&](const std::string &cls, const std::string &fld) {
-        for (const OwnershipEntry &e : r.ownership)
-            if (e.cls == cls && e.field == fld)
-                return e.ownership;
-        return std::string("<absent>");
-    };
-    for (const char *fld : {"entries_", "stalled_blocks_", "stats_"})
-        EXPECT_EQ(ownership("MshrFile", fld), "node-local") << fld;
-    for (const char *fld : {"allocations", "coalesced", "full_stalls",
-                            "occupancy", "read_occupancy"})
-        EXPECT_EQ(ownership("MshrStats", fld), "node-local") << fld;
-
-    // The shared machine-wide structures carry documented contracts.
-    for (const char *cls :
-         {"CoherenceFabric", "Scheduler", "PageMap", "System"}) {
-        bool saw = false;
-        for (const OwnershipEntry &e : r.ownership) {
-            if (e.cls != cls)
-                continue;
-            saw = true;
-            EXPECT_EQ(e.ownership, "shared") << cls << "::" << e.field;
-            EXPECT_FALSE(e.reason.empty()) << cls << "::" << e.field;
-            EXPECT_FALSE(e.sync.empty()) << cls << "::" << e.field;
-        }
-        EXPECT_TRUE(saw) << cls;
-    }
-}
-
-TEST(Analyze, LegacySwallowMarkerStillHonored)
-{
-    // clean_legacy.cpp swallows via the python-era marker; only bad.cpp
-    // may be reported.
-    const Result r =
-        analyze("convention_catch", {"convention-catch-swallow"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].file, "bad.cpp");
 }
 
 } // namespace

@@ -6,8 +6,9 @@
  * failures, the incremental journal + resume planner, and the bench
  * harness glue (flag parsing, exit codes, end-to-end resume).
  *
- * Heavyweight end-to-end scenarios live in tools/dbsim-faultsim; this
- * file keeps the unit-level contracts pinned down.
+ * Every fault is scheduled through a core::FaultPlan at an exact
+ * (item, attempt) pair, never drawn at random, so each test drives the
+ * same code path with the same outcome on every run.
  */
 
 #include <cstdio>
@@ -48,12 +49,16 @@ okItems(std::size_t n)
     return items;
 }
 
-/** Zero the host-timing fields of a rendered entry (field-exact compare). */
+/** Zero the host-timing fields of a rendered entry (field-exact
+ *  compare), and with `mask_attempts` the attempt count too. */
 std::string
-normalizeEntry(std::string line)
+normalizeEntry(std::string line, bool mask_attempts = false)
 {
-    for (const char *key :
-         {"\"wall_seconds\":", "\"sim_instructions_per_host_second\":"}) {
+    std::vector<const char *> keys = {
+        "\"wall_seconds\":", "\"sim_instructions_per_host_second\":"};
+    if (mask_attempts)
+        keys.push_back("\"attempts\":");
+    for (const char *key : keys) {
         const std::size_t at = line.find(key);
         if (at == std::string::npos)
             continue;
@@ -136,34 +141,46 @@ TEST(SweepFaultTolerance, CollectIsolatesPanicAsStructuredFailure)
     EXPECT_NE(f.what.find("isolated panic"), std::string::npos);
     EXPECT_EQ(f.attempts, 1u);
     EXPECT_NE(out.items[1].error, nullptr);
+
+    // The report entry carries the structured failure.
+    const std::string entry = renderSweepEntryJson("collect", out.items[1]);
+    EXPECT_NE(entry.find("\"status\":\"failed\""), std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find("\"kind\":\"invariant\""), std::string::npos)
+        << entry;
 }
 
 TEST(SweepFaultTolerance, RetryReproducesUndisturbedResultsExactly)
 {
     auto items = okItems(4);
 
+    // Rendered report entries, host timing and the attempt count (which
+    // differs for the faulted items by design) masked out.
+    const auto entries = [](const SweepOutcome &out) {
+        std::vector<std::string> lines;
+        for (const SweepItemOutcome &o : out.items)
+            lines.push_back(
+                normalizeEntry(renderSweepEntryJson("retry", o), true));
+        return lines;
+    };
     SweepRunner clean(1);
-    const auto baseline = clean.run(items);
+    clean.setFailurePolicy(FailurePolicy::collect());
+    const auto baseline = entries(clean.runChecked(items));
 
     FaultPlan plan;
+    plan.failAttempts(1, 1, FaultSpec::Kind::Panic, "panics once");
     plan.failAttempts(2, 1, FaultSpec::Kind::Throw, "flaky once");
 
-    for (const unsigned jobs : {1u, 4u}) {
+    for (const unsigned jobs : {1u, 8u}) {
         SweepRunner runner(jobs);
         runner.setFailurePolicy(FailurePolicy::retry(2));
         runner.setFaultPlan(&plan);
         const SweepOutcome out = runner.runChecked(items);
 
         ASSERT_TRUE(out.allOk()) << "jobs=" << jobs;
+        EXPECT_EQ(out.items[1].attempts, 2u);
         EXPECT_EQ(out.items[2].attempts, 2u);
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            EXPECT_EQ(out.items[i].result.run.cycles,
-                      baseline[i].run.cycles)
-                << "jobs=" << jobs << " item " << i;
-            EXPECT_EQ(out.items[i].result.run.instructions,
-                      baseline[i].run.instructions)
-                << "jobs=" << jobs << " item " << i;
-        }
+        EXPECT_EQ(entries(out), baseline) << "jobs=" << jobs;
     }
 }
 
@@ -171,15 +188,22 @@ TEST(SweepFaultTolerance, ConfigRejectionIsNeverRetried)
 {
     auto items = okItems(3);
     items[1].cfg.total_instructions = 0;
+    // Contrast: an exception that persists does burn every attempt.
+    FaultPlan plan;
+    plan.failAttempts(0, 3, FaultSpec::Kind::Throw, "always throws");
 
     SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::retry(5));
+    runner.setFailurePolicy(FailurePolicy::retry(3));
+    runner.setFaultPlan(&plan);
     const SweepOutcome out = runner.runChecked(items);
 
-    EXPECT_EQ(out.failures(), 1u);
+    EXPECT_EQ(out.failures(), 2u);
     EXPECT_EQ(out.items[1].failure.kind, FailureKind::Config);
     EXPECT_EQ(out.items[1].attempts, 1u)
         << "deterministic rejection must not burn retries";
+    EXPECT_EQ(out.items[0].failure.kind, FailureKind::Exception);
+    EXPECT_EQ(out.items[0].attempts, 3u);
+    EXPECT_TRUE(out.items[2].ok());
 }
 
 TEST(SweepFaultTolerance, AbortModeRunCarriesLegacySemantics)

@@ -2,10 +2,9 @@
  * @file
  * Self-tests for the concurrency-contract rules (DESIGN.md §5j): the
  * sync fixture corpus (seeded violations + clean twins covering the
- * lockset edge cases), the mark-pairing regression fixture, the JSON
- * ownership map, and the mutation self-test -- deleting a real
- * lock_guard at three sites of src/ must each trigger
- * sync-guarded-access.
+ * lockset edge cases), the mark-pairing regression fixture, and the
+ * mutation self-test -- deleting a real lock_guard at three sites of
+ * src/ must each trigger sync-guarded-access.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "analyze.hpp"
+#include "lexer.hpp"
 
 namespace {
 
@@ -25,12 +25,11 @@ namespace fs = std::filesystem;
 
 using dbsim::analyze::Finding;
 using dbsim::analyze::Options;
-using dbsim::analyze::OwnershipEntry;
 using dbsim::analyze::Result;
 
 const std::vector<std::string> kSyncRules = {
     "sync-guarded-access", "sync-requires-violation", "sync-lock-order",
-    "sync-atomic-rmw",      "sync-unannotated-shared",
+    "sync-atomic-rmw",
 };
 
 std::string
@@ -88,8 +87,6 @@ const SeededCase kSeeded[] = {
     {"sync_lock_order", "sync-lock-order", "bad.cpp", 2},
     // atomic-marked plain int RMW + atomic `x = x + 1` load/store
     {"sync_atomic", "sync-atomic-rmw", "bad.cpp", 2},
-    // shared row with only a prose shared() mark
-    {"sync_unannotated", "sync-unannotated-shared", "bad.cpp", 1},
 };
 
 TEST(Sync, EveryRuleCatchesItsSeededViolation)
@@ -119,8 +116,7 @@ TEST(Sync, CleanTwinsPassUnderAllRules)
     // scoped_lock ordering, atomic fetch_add -- and none of them may
     // produce a finding under the full rule set.
     for (const char *dir : {"sync_guarded", "sync_requires",
-                            "sync_lock_order", "sync_atomic",
-                            "sync_unannotated"}) {
+                            "sync_lock_order", "sync_atomic"}) {
         SCOPED_TRACE(dir);
         const Result r = analyze(dir);
         for (const Finding &f : r.findings)
@@ -132,60 +128,31 @@ TEST(Sync, CleanTwinsPassUnderAllRules)
 
 TEST(Sync, MultilineMarkPairingCoversTheOpenDeclaration)
 {
-    // clean.cpp: shared()/owner() marks inside a still-open multi-line
-    // field declaration attach backward and classify the field; bad.cpp:
-    // a mark after the terminating ';' binds forward only, so the field
-    // stays unannotated and shard-ownership fires.
+    // bad.cpp: a guarded_by() mark inside a still-open multi-line field
+    // declaration attaches backward, so the unlocked write is caught;
+    // clean.cpp: a mark after the terminating ';' binds forward only and
+    // leaves the preceding field without a contract.
     const Result r = analyze("marks_multiline");
     ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].rule, "shard-ownership");
+    EXPECT_EQ(r.findings[0].rule, "sync-guarded-access");
     EXPECT_EQ(r.findings[0].file, "bad.cpp");
 
-    bool saw = false;
-    for (const OwnershipEntry &e : r.ownership) {
-        if (e.cls != "CoherenceFabric" || e.field != "grants_")
-            continue;
-        saw = true;
-        EXPECT_EQ(e.ownership, "shared");
-        EXPECT_EQ(e.sync, "owner(fabric)");
-        EXPECT_FALSE(e.reason.empty());
-    }
-    EXPECT_TRUE(saw) << "grants_ missing from the ownership map";
-}
-
-TEST(Sync, OwnershipMapCarriesTheSyncColumn)
-{
-    const Result r = analyze("sync_unannotated", kSyncRules);
-    std::ostringstream os;
-    dbsim::analyze::writeOwnershipMap(os, r);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("ownership\tsync\tlocation"), std::string::npos);
-    EXPECT_NE(text.find("owner(pagemap)"), std::string::npos);
-    // Contract-less rows render as "-" so the TSV stays rectangular.
-    EXPECT_NE(text.find("shared\t-\t"), std::string::npos);
-}
-
-TEST(Sync, OwnershipMapJsonIsStructuredAndDeterministic)
-{
-    const Result r = analyze("sync_unannotated", kSyncRules);
-    std::ostringstream os;
-    dbsim::analyze::writeOwnershipMapJson(os, r);
-    const std::string doc = os.str();
-
-    for (const char *needle :
-         {"\"schema\": \"dbsim-ownership-map-v2\"", "\"rows\"",
-          "\"class\": \"PageMap\"", "\"field\": \"lookups_\"",
-          "\"ownership\": \"shared\"", "\"sync\": \"owner(pagemap)\"",
-          "\"file\": \"clean.cpp\"", "\"line\"", "\"reason\""}) {
-        EXPECT_NE(doc.find(needle), std::string::npos)
-            << "missing " << needle;
-    }
-    // Identical runs render byte-identical documents (the committed
-    // tools/analyze/ownership_map.json is diffed in CI).
-    std::ostringstream os2;
-    dbsim::analyze::writeOwnershipMapJson(os2, analyze("sync_unannotated",
-                                                       kSyncRules));
-    EXPECT_EQ(doc, os2.str());
+    // At the lexer level the mark (between `entries_ =` and `0;`) lands
+    // on both the declaration's line and the next code line.
+    std::ifstream in(fixture("marks_multiline") + "/bad.cpp");
+    std::stringstream text;
+    text << in.rdbuf();
+    const dbsim::analyze::SourceFile sf =
+        dbsim::analyze::lexSource("bad.cpp", text.str());
+    int decl_line = 0, init_line = 0;
+    for (std::size_t i = 0; i + 2 < sf.tokens.size(); ++i)
+        if (sf.tokens[i].text == "entries_" && sf.tokens[i + 1].text == "=") {
+            decl_line = sf.tokens[i].line;
+            init_line = sf.tokens[i + 2].line;
+        }
+    ASSERT_GT(init_line, decl_line + 1) << "the mark sits between them";
+    EXPECT_EQ(sf.guarded_marks.count(decl_line), 1u) << "backward bind";
+    EXPECT_EQ(sf.guarded_marks.count(init_line), 1u) << "forward bind";
 }
 
 // ---------------------------------------------------------------------
@@ -274,18 +241,6 @@ TEST(Sync, RealSrcTreeIsCleanUnderTheSyncRules)
     for (const Finding &f : r.findings)
         ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
                       << f.message;
-
-    // Deliverable of the ownership map v2: every shared row names its
-    // machine-checked contract.
-    std::size_t shared_rows = 0;
-    for (const OwnershipEntry &e : r.ownership) {
-        if (e.ownership != "shared")
-            continue;
-        ++shared_rows;
-        EXPECT_FALSE(e.sync.empty())
-            << e.cls << "::" << e.field << " has no structured contract";
-    }
-    EXPECT_GT(shared_rows, 0u);
 }
 
 } // namespace

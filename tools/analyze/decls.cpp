@@ -100,7 +100,6 @@ struct CallableInfo
     std::string cls; ///< from a Qual::name qualifier ("" if none)
     int line = 0;
     bool is_virtual = false;
-    bool is_const = false;
     std::size_t params_end = 0; ///< statement index past the ')'
     bool has_init_list = false; ///< ctor ':' after the parameter list
 };
@@ -130,8 +129,6 @@ parseCallable(const Stmt &s)
             out.has_init_list = true;
             break;
         }
-        if (s[k].kind == Tok::Ident && s[k].text == "const")
-            out.is_const = true;
     }
     out.valid = true;
     return out;
@@ -161,14 +158,6 @@ parseFields(const Stmt &s, ClassDecl &cls, int end_line)
             break;
         }
 
-    bool owned = true;
-    for (std::size_t k = 0; k < first_eq; ++k)
-        if (s[k].kind == Tok::Punct &&
-            (s[k].text == "*" || s[k].text == "&"))
-            owned = false;
-    if (s.contains("unique_ptr"))
-        owned = true;
-
     std::vector<std::size_t> declarators;
     for (std::size_t k = 0; k < first_eq; ++k) {
         if (s[k].kind != Tok::Ident || isTypeKeyword(s[k].text))
@@ -197,7 +186,6 @@ parseFields(const Stmt &s, ClassDecl &cls, int end_line)
         f.decl_line = s[0].line;
         f.end_line = end_line;
         f.type_idents = type_idents;
-        f.owned = owned;
         cls.fields.push_back(std::move(f));
     }
 }
@@ -279,7 +267,7 @@ scanFile(const SourceFile &f, int file_idx, DeclIndex &out)
                         out.classes[ci].methods.push_back(
                             {info.name, info.line,
                              s.size() > 0 ? s[0].line : info.line,
-                             tk.line, info.is_virtual, info.is_const});
+                             tk.line, info.is_virtual});
                 } else {
                     parseFields(s, out.classes[ci], tk.line);
                 }
@@ -344,8 +332,7 @@ scanFile(const SourceFile &f, int file_idx, DeclIndex &out)
                         out.classes[ci].methods.push_back(
                             {info.name, info.line,
                              s.size() > 0 ? s[0].line : info.line,
-                             t[body_open].line, info.is_virtual,
-                             info.is_const});
+                             t[body_open].line, info.is_virtual});
                 }
                 stmt_idx.clear();
                 continue;

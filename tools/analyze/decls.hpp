@@ -7,9 +7,9 @@
  * This is a best-effort symbol layer on top of the flat token stream --
  * no templates instantiated, no overload resolution, no name lookup
  * beyond bare-name matching.  It is exactly strong enough for the
- * call-graph rule families (shard-ownership, hot-path lint,
- * counter-reachability), which are designed to degrade gracefully:
- * ambiguous names over-approximate or are skipped, never crash.
+ * call-graph rule families (hot-path lint, counter-reachability, sync
+ * contracts), which are designed to degrade gracefully: ambiguous
+ * names over-approximate or are skipped, never crash.
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_DECLS_HPP
@@ -30,13 +30,9 @@ struct FieldDecl
     int line = 0;      ///< declarator line
     int decl_line = 0; ///< first line of the declaration statement
     int end_line = 0;  ///< line of the terminating ';' (>= line)
-    /// Identifier tokens of the declared type (for containment edges:
-    /// a field of type `std::vector<Entry>` yields {std, vector, Entry}).
+    /// Identifier tokens of the declared type: a field of type
+    /// `std::vector<Entry>` yields {std, vector, Entry}.
     std::vector<std::string> type_idents;
-    /// False for raw-pointer / reference members: the class does not own
-    /// the target, so no containment edge is drawn.  unique_ptr and
-    /// by-value containers count as owning.
-    bool owned = true;
 };
 
 /** One member-function declaration (definition or not). */
@@ -47,7 +43,6 @@ struct MethodDecl
     int decl_line = 0; ///< first line of the declaration statement
     int end_line = 0;  ///< line of the terminating ';' or body '{'
     bool is_virtual = false; ///< declared with the `virtual` keyword
-    bool is_const = false;   ///< const member function
 };
 
 /** One class/struct declaration with a body. */

@@ -64,20 +64,6 @@ parseListMark(std::string_view body, std::string_view key)
 }
 
 /**
- * Scan a comment body for suppression markers.  Returns the rule names
- * found in `dbsim-analyze: allow(a, b)` clauses (possibly several per
- * comment); sets `legacy` when the python-era "lint: allowed-swallow"
- * marker appears.
- */
-std::set<std::string>
-parseAllows(std::string_view body, bool &legacy)
-{
-    if (body.find("lint: allowed-swallow") != std::string_view::npos)
-        legacy = true;
-    return parseListMark(body, "allow");
-}
-
-/**
  * True when the comment body contains a bare `dbsim-analyze: <key>` mark
  * (no argument list), e.g. `// dbsim-analyze: atomic`.
  */
@@ -156,11 +142,9 @@ lexSource(std::string rel, std::string_view text)
     std::set<std::string> pending;    // allows waiting for the next code line
     // Annotation marks waiting for the next code line; the bool
     // distinguishes an absent mark from an empty reason.
-    std::pair<bool, std::string> pending_shared{false, {}};
     std::pair<bool, std::string> pending_cold{false, {}};
     std::pair<bool, std::string> pending_guarded{false, {}};
     std::pair<bool, std::string> pending_phase{false, {}};
-    std::pair<bool, std::string> pending_owner{false, {}};
     bool pending_atomic = false;
     std::set<std::string> pending_requires;
 
@@ -180,11 +164,9 @@ lexSource(std::string rel, std::string_view text)
                 p = {false, {}};
             }
         };
-        flush(pending_shared, out.shared_marks);
         flush(pending_cold, out.cold_marks);
         flush(pending_guarded, out.guarded_marks);
         flush(pending_phase, out.phase_marks);
-        flush(pending_owner, out.owner_marks);
         if (pending_atomic) {
             out.atomic_marks.insert(at);
             pending_atomic = false;
@@ -200,13 +182,8 @@ lexSource(std::string rel, std::string_view text)
                       (t == ";" || t == "{" || t == "}"));
         out.tokens.push_back(Token{kind, std::move(t), at});
     };
-    auto recordAllows = [&](std::string_view body, int start_line,
-                            int end_line) {
-        bool legacy = false;
-        std::set<std::string> rules = parseAllows(body, legacy);
-        if (legacy)
-            for (int l = start_line; l <= end_line; ++l)
-                out.legacy_swallow.insert(l);
+    auto recordAllows = [&](std::string_view body, int start_line) {
+        const std::set<std::string> rules = parseListMark(body, "allow");
         // Annotation marks: same-line binds to that line; a standalone
         // comment binds to the next code line and -- when a multi-line
         // declaration is still open -- to the last code line before it
@@ -223,16 +200,12 @@ lexSource(std::string rel, std::string_view text)
             p = {true, val};
         };
         std::string reason;
-        if (parseReasonMark(body, "shared", reason))
-            place(reason, out.shared_marks, pending_shared);
         if (parseReasonMark(body, "cold", reason))
             place(reason, out.cold_marks, pending_cold);
         if (parseReasonMark(body, "guarded_by", reason))
             place(reason, out.guarded_marks, pending_guarded);
         if (parseReasonMark(body, "phase", reason))
             place(reason, out.phase_marks, pending_phase);
-        if (parseReasonMark(body, "owner", reason))
-            place(reason, out.owner_marks, pending_owner);
         if (parseBareMark(body, "atomic")) {
             if (line_has_code) {
                 out.atomic_marks.insert(start_line);
@@ -278,7 +251,7 @@ lexSource(std::string rel, std::string_view text)
             const std::size_t start = i;
             while (i < n && text[i] != '\n')
                 ++i;
-            recordAllows(text.substr(start, i - start), line, line);
+            recordAllows(text.substr(start, i - start), line);
             continue;
         }
         // Block comment.
@@ -292,7 +265,7 @@ lexSource(std::string rel, std::string_view text)
                 ++i;
             }
             i = (i + 1 < n) ? i + 2 : n;
-            recordAllows(text.substr(start, i - start), start_line, line);
+            recordAllows(text.substr(start, i - start), start_line);
             continue;
         }
 

@@ -58,9 +58,8 @@ struct PpDirective
  * A suppression comment applies to the line it shares with code, or --
  * when it stands alone -- to the next line that has code.
  *
- * `shared_marks` and `cold_marks` carry the ownership/reachability
- * annotations consumed by the call-graph rule families:
- *     // dbsim-analyze: shared(<reason>)   on a member (or its class)
+ * `cold_marks` carries the reachability annotation consumed by the
+ * call-graph rule families:
  *     // dbsim-analyze: cold(<reason>)     on a function definition
  * with the same same-line-or-next-code-line placement as allow().  The
  * reason text may not contain ')'.
@@ -72,8 +71,6 @@ struct PpDirective
  *     // dbsim-analyze: phase(<name>)               field/function: only
  *                                                   reachable in <name>
  *                                                   phase (e.g. serial)
- *     // dbsim-analyze: owner(<domain>)             field: confined to a
- *                                                   serialization domain
  *     // dbsim-analyze: requires(<m>[, <m>...])     function: caller must
  *                                                   hold these mutexes
  *
@@ -92,14 +89,11 @@ struct SourceFile
     std::vector<IncludeDirective> includes;
     std::vector<PpDirective> directives;
     std::map<int, std::set<std::string>> allows;
-    std::map<int, std::string> shared_marks; ///< line -> reason
-    std::map<int, std::string> cold_marks;   ///< line -> reason
+    std::map<int, std::string> cold_marks;    ///< line -> reason
     std::map<int, std::string> guarded_marks; ///< line -> mutex member
     std::set<int> atomic_marks;               ///< lines marked atomic
     std::map<int, std::string> phase_marks;   ///< line -> phase name
-    std::map<int, std::string> owner_marks;   ///< line -> domain
     std::map<int, std::set<std::string>> requires_marks; ///< line -> mutexes
-    std::set<int> legacy_swallow; ///< lines with "lint: allowed-swallow"
     int last_line = 0;
 
     bool isHeader() const;

@@ -116,8 +116,8 @@ resolveOwnClass(const DeclIndex &d, const std::string &cls, int file_idx)
     return hits == 1 ? same_file : -1;
 }
 
-/// Own class plus its base chain (single inheritance, like the
-/// ownership pass), as class indices.
+/// Own class plus its base chain (single inheritance is all the repo
+/// uses), as class indices.
 std::vector<int>
 ownChain(const DeclIndex &d, const std::string &cls, int file_idx)
 {
@@ -254,12 +254,6 @@ markAt(const SourceFile &sf, int line)
     if (p != sf.phase_marks.end()) {
         c.kind = SyncContract::Kind::Phase;
         c.arg = p->second;
-        return c;
-    }
-    const auto o = sf.owner_marks.find(line);
-    if (o != sf.owner_marks.end()) {
-        c.kind = SyncContract::Kind::Owner;
-        c.arg = o->second;
         return c;
     }
     return c;
@@ -427,9 +421,9 @@ struct BodyWalker
                 continue;
             }
 
-            // Member reference, resolved like the ownership pass:
-            // unqualified / this-> against the own-class chain, other
-            // receivers only when the field name is corpus-unique.
+            // Member reference: unqualified / this-> against the
+            // own-class chain, other receivers only when the field name
+            // is corpus-unique.
             const bool member_access =
                 i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
             int ci = -1, fi = -1;
@@ -495,24 +489,6 @@ intersectInto(std::set<std::string> &dst, const std::set<std::string> &src)
 }
 
 } // namespace
-
-std::string
-SyncContract::render() const
-{
-    switch (kind) {
-    case Kind::None:
-        return "";
-    case Kind::GuardedBy:
-        return "guarded_by(" + arg + ")";
-    case Kind::Atomic:
-        return "atomic";
-    case Kind::Phase:
-        return "phase(" + arg + ")";
-    case Kind::Owner:
-        return "owner(" + arg + ")";
-    }
-    return "";
-}
 
 SyncContract
 SyncIndex::contractOf(int ci, int fi) const

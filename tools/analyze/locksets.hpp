@@ -4,7 +4,7 @@
  * dbsim-analyze (DESIGN.md §5j).
  *
  * The lexer's structured sync marks (guarded_by / atomic / phase /
- * owner / requires) are resolved here against the declaration index:
+ * requires) are resolved here against the declaration index:
  * every field gets at most one SyncContract, every function definition a
  * `requires` set and a phase classification.  A single forward walk per
  * function body then tracks the set of mutexes provably held at each
@@ -60,16 +60,11 @@ struct SyncContract
         GuardedBy, ///< guarded_by(<mutex>): lockset-checked on every R/W
         Atomic,    ///< atomic: std::atomic type, no non-atomic RMW
         Phase,     ///< phase(<name>): only touched in that phase
-        Owner,     ///< owner(<domain>): confined to one serialization
-                   ///< domain (a declared plan, not lockset-checkable)
     };
     Kind kind = Kind::None;
-    std::string arg; ///< mutex member / phase name / domain
+    std::string arg; ///< mutex member / phase name
 
     bool structured() const { return kind != Kind::None; }
-    /// Canonical rendering: "guarded_by(mu_)", "atomic", "phase(serial)",
-    /// "owner(fabric)"; "" for None.
-    std::string render() const;
 };
 
 /// One member access observed in a function body.
@@ -129,7 +124,7 @@ struct SyncIndex
 /**
  * Field-level structured sync mark lookup: the field's own declaration
  * window (decl_line..max(line, end_line)) first, then a class-level mark
- * on the class-name line -- mirroring the shared() placement rules.
+ * on the class-name line.
  */
 SyncContract fieldSyncContract(const Corpus &corpus, const DeclIndex &decls,
                                int ci, const FieldDecl &fd);

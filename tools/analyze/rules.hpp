@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze.hpp"
 #include "callgraph.hpp"
 #include "corpus.hpp"
 #include "decls.hpp"
@@ -45,7 +44,6 @@ inline constexpr char kRuleStdout[] = "convention-stdout";
 inline constexpr char kRuleIncludeGuard[] = "convention-include-guard";
 inline constexpr char kRuleCatchSwallow[] = "convention-catch-swallow";
 inline constexpr char kRuleCheckpointPurity[] = "checkpoint-purity";
-inline constexpr char kRuleShardOwnership[] = "shard-ownership";
 inline constexpr char kRuleHotpathAlloc[] = "hotpath-allocation";
 inline constexpr char kRuleHotpathMapLookup[] = "hotpath-map-lookup";
 inline constexpr char kRuleHotpathVirtual[] = "hotpath-virtual";
@@ -55,7 +53,6 @@ inline constexpr char kRuleSyncGuarded[] = "sync-guarded-access";
 inline constexpr char kRuleSyncRequires[] = "sync-requires-violation";
 inline constexpr char kRuleSyncLockOrder[] = "sync-lock-order";
 inline constexpr char kRuleSyncAtomicRmw[] = "sync-atomic-rmw";
-inline constexpr char kRuleSyncUnannotated[] = "sync-unannotated-shared";
 
 /**
  * Everything a rule pass may consult: the lexed corpus plus the
@@ -71,21 +68,15 @@ struct PassContext
 };
 
 void runDeterminismRules(const PassContext &ctx,
-                         std::vector<RawFinding> &out, Result &res);
-void runAccountingRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
-void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                      Result &res);
+                         std::vector<RawFinding> &out);
+void runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out);
+void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out);
 void runConventionRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
+                        std::vector<RawFinding> &out);
 void runCheckpointRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
-void runOwnershipRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                       Result &res);
-void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                     Result &res);
-void runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                  Result &res);
+                        std::vector<RawFinding> &out);
+void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out);
+void runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out);
 
 /// Shared helper: true when the identifier at token `i` is mutated
 /// (assignment, compound assignment, ++/--), looking through member

@@ -308,8 +308,7 @@ checkCounterReachability(const PassContext &ctx,
 } // namespace
 
 void
-runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                   Result &)
+runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     checkCounterCoverage(ctx.corpus, out);
     for (const SourceFile &f : ctx.corpus.files)

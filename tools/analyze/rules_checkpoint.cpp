@@ -203,8 +203,7 @@ checkBody(const Corpus &c, const SourceFile &f, const std::string &fn,
 } // namespace
 
 void
-runCheckpointRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                   Result &)
+runCheckpointRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {

@@ -1,7 +1,6 @@
 /**
  * @file
- * R4: repo conventions, absorbed from the python-era
- * tools/lint_conventions.py (which now just execs this tool):
+ * R4: repo conventions:
  *
  *  - no raw assert() in src/ (use DBSIM_ASSERT, on in release builds)
  *  - no stdout writes in src/ (reports own stdout; logs go to stderr)
@@ -170,12 +169,6 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
         }
         if (handled)
             continue;
-        // Legacy python-linter escape hatch anywhere in the block.
-        bool legacy = false;
-        for (int l = t[i].line; l <= end_line && !legacy; ++l)
-            legacy = f.legacy_swallow.count(l) != 0;
-        if (legacy)
-            continue;
         out.push_back({kRuleCatchSwallow, f.rel, t[i].line,
                        "catch (...) swallows the exception; rethrow, wrap "
                        "it in a structured failure, or annotate with "
@@ -187,8 +180,7 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runConventionRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                   Result &)
+runConventionRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {

@@ -154,8 +154,7 @@ checkPointerFormat(const SourceFile &f, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runDeterminismRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                    Result &)
+runDeterminismRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {

@@ -219,8 +219,7 @@ checkVirtualDispatch(const PassContext &ctx, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                Result &)
+runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     if (!ctx.graph.hasRoots())
         return; // no tick path in this corpus

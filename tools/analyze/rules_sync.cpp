@@ -12,8 +12,6 @@
  *                            global lock-acquisition-order graph
  *   sync-atomic-rmw          non-atomic read-modify-write on an
  *                            atomic-marked field
- *   sync-unannotated-shared  ownership-map shared row with only a prose
- *                            shared() mark, no structured contract
  *
  * Constructors are exempt from the access checks: the object under
  * construction is not yet shared.  Serial-context functions (marked
@@ -69,7 +67,6 @@ struct SyncPass
 {
     const PassContext &ctx;
     std::vector<RawFinding> &out;
-    Result &res;
 
     std::string
     qualName(int ci, int fi) const
@@ -287,36 +284,18 @@ struct SyncPass
             }
         }
     }
-
-    void
-    unannotatedShared()
-    {
-        for (const OwnershipEntry &e : res.ownership) {
-            if (e.ownership != "shared" || !e.sync.empty())
-                continue;
-            out.push_back(
-                {kRuleSyncUnannotated, e.file, e.line,
-                 "shared member '" + e.cls + "::" + e.field +
-                     "' has only a prose shared() mark; add a structured "
-                     "contract: guarded_by(<mutex>), atomic, "
-                     "phase(serial), or owner(<domain>) (DESIGN.md §5j)",
-                 0});
-        }
-    }
 };
 
 } // namespace
 
 void
-runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out,
-             Result &res)
+runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
-    SyncPass pass{ctx, out, res};
+    SyncPass pass{ctx, out};
     pass.guardedAccess();
     pass.requiresViolation();
     pass.lockOrder();
     pass.atomicRmw();
-    pass.unannotatedShared();
 }
 
 } // namespace dbsim::analyze

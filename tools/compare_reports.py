@@ -9,7 +9,8 @@ simulated results (cycles, instructions, IPC, breakdowns, miss rates,
 coherence counters) must match exactly.
 
 Usage: compare_reports.py REFERENCE.json CANDIDATE.json [--ignore KEY]...
-Exit status 0 when equivalent, 1 with a per-path diff otherwise.
+Exit status 0 when equivalent, 1 with a per-path diff otherwise (the
+first 50 differing paths are printed; the summary counts all of them).
 """
 
 import argparse
@@ -17,6 +18,7 @@ import json
 import sys
 
 DEFAULT_IGNORED = ("wall_seconds", "sim_instructions_per_host_second")
+MAX_PRINTED = 50
 
 
 def scrub(node, ignored):
@@ -32,10 +34,8 @@ def scrub(node, ignored):
     return node
 
 
-def diff(a, b, path, out, limit=50):
-    """Collect up to `limit` per-path differences between a and b."""
-    if len(out) >= limit:
-        return
+def diff(a, b, path, out):
+    """Append every per-path difference between a and b to `out`."""
     if type(a) is not type(b):
         out.append(f"{path}: type {type(a).__name__} != "
                    f"{type(b).__name__}")
@@ -46,12 +46,12 @@ def diff(a, b, path, out, limit=50):
             elif k not in b:
                 out.append(f"{path}.{k}: only in reference")
             else:
-                diff(a[k], b[k], f"{path}.{k}", out, limit)
+                diff(a[k], b[k], f"{path}.{k}", out)
     elif isinstance(a, list):
         if len(a) != len(b):
             out.append(f"{path}: length {len(a)} != {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            diff(x, y, f"{path}[{i}]", out, limit)
+            diff(x, y, f"{path}[{i}]", out)
     elif a != b:
         out.append(f"{path}: {a!r} != {b!r}")
 
@@ -76,8 +76,10 @@ def main():
 
     findings = []
     diff(docs[0], docs[1], "$", findings)
-    for f in findings:
+    for f in findings[:MAX_PRINTED]:
         print(f)
+    if len(findings) > MAX_PRINTED:
+        print(f"... and {len(findings) - MAX_PRINTED} more")
     if findings:
         print(f"compare_reports: {len(findings)} difference(s) between "
               f"{args.reference} and {args.candidate}")

@@ -12,7 +12,7 @@
  * (a checker that flags nothing is indistinguishable from a checker
  * that checks nothing).
  *
- * This header is a dependency leaf (nothing but <cstdint>).  It lives in
+ * This header is a dependency leaf (standard headers only).  It lives in
  * common/ -- the bottom of the include-layer order -- so that both the
  * protocol layers below verify/ and the verification layer itself can
  * include it without creating an upward include or a directory cycle
@@ -28,6 +28,7 @@
 #define DBSIM_COMMON_MUTATOR_HPP
 
 #include <cstdint>
+#include <string_view>
 
 namespace dbsim::verify {
 
@@ -97,6 +98,32 @@ protocolBugName(ProtocolBug b)
       case ProtocolBug::ReorderedRelease:    return "reordered-release";
     }
     return "?";
+}
+
+/** Every catalogued bug (ProtocolBug::None excluded): the one list the
+ *  tools and self-checks iterate. */
+inline constexpr ProtocolBug kProtocolBugs[] = {
+    ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
+    ProtocolBug::MissingDowngrade,    ProtocolBug::LostSharerBit,
+    ProtocolBug::SkippedSpecSquash,   ProtocolBug::ReorderedRelease,
+};
+
+/** Inverse of protocolBugName() ("none" included); false when @p name
+ *  names no bug. */
+inline bool
+protocolBugFromName(std::string_view name, ProtocolBug *out)
+{
+    if (name == protocolBugName(ProtocolBug::None)) {
+        *out = ProtocolBug::None;
+        return true;
+    }
+    for (const ProtocolBug b : kProtocolBugs) {
+        if (name == protocolBugName(b)) {
+            *out = b;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace dbsim::verify

@@ -7,16 +7,6 @@ namespace dbsim {
 namespace {
 
 std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
@@ -26,9 +16,11 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t sm = seed;
-    for (auto &s : s_)
-        s = splitmix64(sm);
+    // Stepped splitmix64: word i is splitmix64(seed + i * increment).
+    for (auto &s : s_) {
+        s = splitmix64(seed);
+        seed += 0x9e3779b97f4a7c15ull;
+    }
 }
 
 std::uint64_t

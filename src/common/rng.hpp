@@ -17,6 +17,16 @@
 
 namespace dbsim {
 
+/** splitmix64: full-avalanche 64-bit mix (Rng seeding, derived seeds). */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /**
  * A deterministic random-number stream (xoshiro256**).
  */

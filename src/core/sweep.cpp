@@ -15,6 +15,7 @@
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
 #include "sim/diagnostics.hpp"
@@ -22,16 +23,6 @@
 namespace dbsim::core {
 
 namespace {
-
-/** splitmix64 step: full-avalanche 64-bit mix for derived seeds. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Ceiling on the diagnostic dump text carried by a SweepFailure. */
 constexpr std::size_t kMaxDumpExcerpt = 4000;
@@ -228,7 +219,7 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     out.label = item.label;
     out.cfg = item.cfg;
     if (base_seed_ != 0) {
-        const std::uint64_t seed = mix64(base_seed_ ^ index);
+        const std::uint64_t seed = splitmix64(base_seed_ ^ index);
         out.cfg.oltp.seed = seed;
         out.cfg.dss.seed = seed;
     }

@@ -10,6 +10,7 @@
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "core/json_writer.hpp"
 #include "cpu/consistency.hpp"
@@ -17,43 +18,6 @@
 namespace dbsim::verify {
 
 namespace {
-
-std::string
-firstLine(const std::string &s)
-{
-    const std::size_t nl = s.find('\n');
-    return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
-std::string
-firstLines(const std::string &s, std::size_t n)
-{
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        pos = s.find('\n', pos);
-        if (pos == std::string::npos)
-            return s;
-        ++pos;
-    }
-    return s.substr(0, pos);
-}
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::unique_ptr<Engine>
-engineUnderTest(const FuzzOptions &opts)
-{
-    return opts.inject_bug != ProtocolBug::None
-               ? makeMutantEngine(opts.inject_bug)
-               : makeSerialEngine();
-}
 
 std::string
 scratchPath(const FuzzOptions &opts, std::uint32_t index)
@@ -84,7 +48,7 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
     switch (k) {
       case OracleKind::Crash: {
         try {
-            engineUnderTest(opts)->execute(cfg);
+            Engine(opts.inject_bug).execute(cfg);
         } catch (const std::exception &e) {
             return crashVerdict(e);
         }
@@ -96,7 +60,7 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
       case OracleKind::Conservation: {
         RunArtifacts a;
         try {
-            a = engineUnderTest(opts)->execute(cfg);
+            a = Engine(opts.inject_bug).execute(cfg);
         } catch (const std::exception &e) {
             return crashVerdict(e);
         }
@@ -104,25 +68,23 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
         return checkConservation(cfg, a);
       }
       case OracleKind::Determinism: {
-        const std::unique_ptr<Engine> eng = engineUnderTest(opts);
+        const Engine eng(opts.inject_bug);
         RunArtifacts a;
         try {
-            a = eng->execute(cfg);
+            a = eng.execute(cfg);
         } catch (const std::exception &e) {
             return crashVerdict(e);
         }
-        return checkDeterminism(*eng, cfg, a);
+        return checkDeterminism(eng, cfg, a);
       }
       case OracleKind::CheckpointRoundTrip:
         return checkCheckpointRoundTrip(cfg, scratch,
                                         opts.corrupt_checkpoint_offset);
       case OracleKind::Coherence:
         return checkCoherence(cfg);
-      case OracleKind::Differential: {
-        const std::unique_ptr<Engine> ref = makeSerialEngine();
-        const std::unique_ptr<Engine> cand = engineUnderTest(opts);
-        return compareEngines(*ref, *cand, cfg, localize);
-      }
+      case OracleKind::Differential:
+        return compareEngines(Engine(), Engine(opts.inject_bug), cfg,
+                              localize);
     }
     DBSIM_PANIC("runOracleKind: unknown oracle kind ",
                 static_cast<int>(k));
@@ -278,7 +240,7 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
     const core::SimConfig cfg = fuzzCaseConfig(opts, index);
     r.config_signature = core::simConfigSignature(cfg);
     const std::string scratch = scratchPath(opts, index);
-    const std::unique_ptr<Engine> engine = engineUnderTest(opts);
+    const Engine engine(opts.inject_bug);
 
     const auto record = [&r](const OracleVerdict &v) {
         ++r.oracles_run;
@@ -289,7 +251,7 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
     RunArtifacts base;
     bool have_base = false;
     try {
-        base = engine->execute(cfg);
+        base = engine.execute(cfg);
         have_base = true;
         ++r.oracles_run; // the implicit crash oracle passed
     } catch (const std::exception &e) {
@@ -306,7 +268,7 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
         // keeping the conservation verdict alone in the triage bucket.
         if (opts.oracle_determinism &&
             opts.inject_fault == ArtifactFault::None) {
-            record(checkDeterminism(*engine, cfg, base));
+            record(checkDeterminism(engine, cfg, base));
         }
         if (opts.oracle_checkpoint) {
             record(checkCheckpointRoundTrip(
@@ -314,10 +276,8 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
         }
         if (opts.oracle_coherence)
             record(checkCoherence(cfg));
-        if (opts.inject_bug != ProtocolBug::None) {
-            const std::unique_ptr<Engine> ref = makeSerialEngine();
-            record(compareEngines(*ref, *engine, cfg, /*localize=*/true));
-        }
+        if (opts.inject_bug != ProtocolBug::None)
+            record(compareEngines(Engine(), engine, cfg, /*localize=*/true));
     }
 
     if (!r.failures.empty()) {
@@ -720,22 +680,6 @@ oracleKindFromName(const std::string &name, OracleKind *out)
 }
 
 bool
-protocolBugFromName(const std::string &name, ProtocolBug *out)
-{
-    for (const ProtocolBug b :
-         {ProtocolBug::None, ProtocolBug::DroppedInvalidation,
-          ProtocolBug::StaleOwner, ProtocolBug::MissingDowngrade,
-          ProtocolBug::LostSharerBit, ProtocolBug::SkippedSpecSquash,
-          ProtocolBug::ReorderedRelease}) {
-        if (name == protocolBugName(b)) {
-            *out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 artifactFaultFromName(const std::string &name, ArtifactFault *out)
 {
     for (const ArtifactFault f :
@@ -915,12 +859,11 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
     };
 
     const core::SimConfig cfg = selfCheckConfig();
-    const std::unique_ptr<Engine> serial = makeSerialEngine();
+    const Engine serial;
 
     // 1. The differential harness on identical engines must agree.
     {
-        const std::unique_ptr<Engine> twin = makeSerialEngine();
-        const OracleVerdict v = compareEngines(*serial, *twin, cfg, true);
+        const OracleVerdict v = compareEngines(serial, serial, cfg, true);
         check("differential serial-vs-self identical", v.ok,
               firstLine(v.detail));
     }
@@ -928,15 +871,12 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
     // 2. Every catalogued protocol bug must be rediscovered, and must
     // actually have fired (a detection claim with zero triggers means
     // the config never exercised the decision point).
-    for (const ProtocolBug b :
-         {ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
-          ProtocolBug::MissingDowngrade, ProtocolBug::LostSharerBit,
-          ProtocolBug::SkippedSpecSquash, ProtocolBug::ReorderedRelease}) {
-        const std::unique_ptr<Engine> mut = makeMutantEngine(b);
+    for (const ProtocolBug b : kProtocolBugs) {
         // Bisect one of them to exercise the cycle-localization path;
         // epoch-granularity detection is enough evidence for the rest.
         const bool localize = b == ProtocolBug::DroppedInvalidation;
-        const OracleVerdict v = compareEngines(*serial, *mut, cfg, localize);
+        const OracleVerdict v =
+            compareEngines(serial, Engine(b), cfg, localize);
         std::string why;
         if (v.ok)
             why = "divergence not detected";
@@ -952,7 +892,7 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
         RunArtifacts base;
         bool have = false;
         try {
-            base = serial->execute(cfg);
+            base = serial.execute(cfg);
             have = true;
         } catch (const std::exception &e) {
             check("conservation base run", false, firstLine(e.what()));

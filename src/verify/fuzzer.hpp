@@ -204,9 +204,10 @@ core::SimConfig reproConfig(const ReproFile &r);
  */
 OracleVerdict replayRepro(const ReproFile &r, const std::string &scratch_dir);
 
-/** Name <-> enum helpers (CLI flags, repro files, tests). */
+/** Name <-> enum helpers (CLI flags, repro files, tests);
+ *  protocolBugFromName() sits with the bug catalogue in
+ *  common/mutator.hpp. */
 bool oracleKindFromName(const std::string &name, OracleKind *out);
-bool protocolBugFromName(const std::string &name, ProtocolBug *out);
 bool artifactFaultFromName(const std::string &name, ArtifactFault *out);
 
 /**

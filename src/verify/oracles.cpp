@@ -1,5 +1,6 @@
 #include "verify/oracles.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -14,9 +15,6 @@
 
 namespace dbsim::verify {
 
-namespace {
-
-/** First line of @p s (the whole string if single-line). */
 std::string
 firstLine(const std::string &s)
 {
@@ -24,7 +22,6 @@ firstLine(const std::string &s)
     return nl == std::string::npos ? s : s.substr(0, nl);
 }
 
-/** First @p n lines of @p s (crash-dump excerpts). */
 std::string
 firstLines(const std::string &s, std::size_t n)
 {
@@ -37,8 +34,6 @@ firstLines(const std::string &s, std::size_t n)
     }
     return s.substr(0, pos);
 }
-
-} // namespace
 
 /**
  * Triage-bucket key: oracle name + the first detail line with digit
@@ -134,65 +129,83 @@ collectArtifacts(core::Simulation &simulation, const core::SimConfig &cfg,
 }
 
 /**
- * The serial engine, optionally with one seeded protocol bug.  The
- * mutator is attached at both decision-point families (core-side
- * consistency bugs via CoreParams, fabric-side protocol bugs via
- * System::attachMutator) -- the dbsim-diverge idiom.
+ * Run @p cfg on a fresh core::Simulation with @p bug seeded -- the one
+ * place a ProtocolMutator is attached -- and return what @p collect
+ * makes of the finished simulation, its result and the trigger count.
  */
-class SerialEngine : public Engine
+template <typename Collect>
+auto
+runWithBug(ProtocolBug bug, const core::SimConfig &cfg, Collect collect)
 {
-  public:
-    explicit SerialEngine(ProtocolBug bug = ProtocolBug::None) : bug_(bug) {}
+    ProtocolMutator mut;
+    mut.bug = bug;
+    core::SimConfig run_cfg = cfg;
+    if (bug != ProtocolBug::None)
+        run_cfg.system.core.mutator = &mut; // core-side decision points
+    core::Simulation simulation(run_cfg);
+    simulation.prepare();
+    if (bug != ProtocolBug::None)
+        simulation.system().attachMutator(&mut); // fabric-side points
+    const sim::RunResult r = simulation.run();
+    return collect(simulation, r, mut.triggers);
+}
 
-    std::string
-    name() const override
-    {
-        if (bug_ == ProtocolBug::None)
-            return "serial";
-        return std::string("mutant:") + protocolBugName(bug_);
-    }
-
-    RunArtifacts
-    execute(const core::SimConfig &cfg) const override
-    {
-        ProtocolMutator mut;
-        mut.bug = bug_;
-        core::SimConfig run_cfg = cfg;
-        if (bug_ != ProtocolBug::None)
-            run_cfg.system.core.mutator = &mut;
-        core::Simulation simulation(run_cfg);
-        simulation.prepare();
-        if (bug_ != ProtocolBug::None)
-            simulation.system().attachMutator(&mut);
-        const sim::RunResult r = simulation.run();
-        RunArtifacts a = collectArtifacts(simulation, cfg, r);
-        a.bug_triggers = mut.triggers;
-        return a;
-    }
-
-    bool
-    probeStateHash(const core::SimConfig &cfg, Cycles stop_at,
-                   std::uint64_t *hash) const override
-    {
-        ProtocolMutator mut;
-        mut.bug = bug_;
-        core::SimConfig run_cfg = cfg;
-        run_cfg.system.state_hash_interval = 0;
-        run_cfg.system.stop_at_cycle = stop_at;
-        if (bug_ != ProtocolBug::None)
-            run_cfg.system.core.mutator = &mut;
-        core::Simulation simulation(run_cfg);
-        simulation.prepare();
-        if (bug_ != ProtocolBug::None)
-            simulation.system().attachMutator(&mut);
-        simulation.run();
-        *hash = simulation.system().stateHash();
-        return true;
-    }
-
-  private:
-    ProtocolBug bug_;
+/** Where two runs of one config first disagree (localizeDivergence). */
+struct Localization
+{
+    std::string detail; ///< verdict lines, each starting with '\n'
+    Cycles cycle = 0;   ///< bisected first divergent cycle; 0 = not bisected
 };
+
+/**
+ * The one divergence localizer, for runs @p ra (on @p ref) and @p ca
+ * (on @p cand) of @p cfg whose artifacts differ.  Names the first
+ * differing epoch-hash sample, else a stream-length mismatch, else a
+ * counters-only divergence.  With @p bisect set and an earlier
+ * agreeing sample, binary-searches stateAt() probes between the two
+ * samples down to the first divergent cycle.
+ */
+Localization
+localizeDivergence(const Engine &ref, const Engine &cand,
+                   const core::SimConfig &cfg, const RunArtifacts &ra,
+                   const RunArtifacts &ca, bool bisect)
+{
+    const std::vector<sim::EpochHash> &ea = ra.result.epoch_hashes;
+    const std::vector<sim::EpochHash> &eb = ca.result.epoch_hashes;
+    const std::size_t n = std::min(ea.size(), eb.size());
+    std::size_t k = 0;
+    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
+        ++k;
+
+    Localization out;
+    std::ostringstream os;
+    if (k < n) {
+        os << "\nfirst divergent epoch: cycle " << ea[k].epoch << " (sample "
+           << k << ")";
+        if (bisect && k > 0) {
+            // The states agree at lo and differ at hi; neither bound is
+            // probed, so no probe is cycle 0 (stop_at_cycle 0 would run
+            // to completion).
+            Cycles lo = ea[k - 1].epoch, hi = ea[k].epoch;
+            while (hi - lo > 1) {
+                const Cycles mid = lo + (hi - lo) / 2;
+                if (ref.stateAt(cfg, mid).hash != cand.stateAt(cfg, mid).hash)
+                    hi = mid;
+                else
+                    lo = mid;
+            }
+            out.cycle = hi;
+            os << "\nbisected first divergent cycle: " << hi;
+        }
+    } else if (ea.size() != eb.size()) {
+        os << "\nepoch streams agree but lengths differ: " << ea.size()
+           << " vs " << eb.size();
+    } else {
+        os << "\nepoch streams identical; divergence is counters-only";
+    }
+    out.detail = os.str();
+    return out;
+}
 
 void
 appendRange01(std::vector<std::string> &issues, const char *what, double v)
@@ -303,16 +316,40 @@ renderArtifacts(const RunArtifacts &a)
     return os.str();
 }
 
-std::unique_ptr<Engine>
-makeSerialEngine()
+std::string
+Engine::name() const
 {
-    return std::make_unique<SerialEngine>();
+    if (bug_ == ProtocolBug::None)
+        return "serial";
+    return std::string("mutant:") + protocolBugName(bug_);
 }
 
-std::unique_ptr<Engine>
-makeMutantEngine(ProtocolBug bug)
+RunArtifacts
+Engine::execute(const core::SimConfig &cfg) const
 {
-    return std::make_unique<SerialEngine>(bug);
+    return runWithBug(bug_, cfg,
+                      [&cfg](core::Simulation &simulation,
+                             const sim::RunResult &r, std::uint64_t triggers) {
+                          RunArtifacts a = collectArtifacts(simulation, cfg, r);
+                          a.bug_triggers = triggers;
+                          return a;
+                      });
+}
+
+Engine::State
+Engine::stateAt(const core::SimConfig &cfg, Cycles cycle) const
+{
+    DBSIM_ASSERT(cycle > 0, "stop_at_cycle 0 would run to completion");
+    core::SimConfig probe = cfg;
+    probe.system.state_hash_interval = 0;
+    probe.system.stop_at_cycle = cycle;
+    return runWithBug(bug_, probe,
+                      [](core::Simulation &simulation, const sim::RunResult &,
+                         std::uint64_t) {
+                          const sim::System &sys = simulation.system();
+                          return State{sys.stateHash(),
+                                       sim::machineStateDump(sys)};
+                      });
 }
 
 void
@@ -449,26 +486,12 @@ checkDeterminism(const Engine &eng, const core::SimConfig &cfg,
     if (ra == rb && first.final_dump == second.final_dump)
         return passVerdict(OracleKind::Determinism);
 
-    // Localize: first divergent epoch sample, if the streams differ.
-    const std::vector<sim::EpochHash> &ea = first.result.epoch_hashes;
-    const std::vector<sim::EpochHash> &eb = second.result.epoch_hashes;
-    const std::size_t n = ea.size() < eb.size() ? ea.size() : eb.size();
-    std::size_t k = 0;
-    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
-        ++k;
-    std::ostringstream os;
-    if (ra != rb)
-        os << "same-seed re-run rendered different artifacts";
-    else
-        os << "same-seed re-run produced a different machine dump";
-    if (k < n) {
-        os << "\nfirst divergent epoch: cycle " << ea[k].epoch
-           << " (sample " << k << ")";
-    } else if (ea.size() != eb.size()) {
-        os << "\nepoch streams have different lengths: " << ea.size()
-           << " vs " << eb.size();
-    }
-    return failVerdict(OracleKind::Determinism, os.str());
+    std::string detail = ra != rb
+                             ? "same-seed re-run rendered different artifacts"
+                             : "same-seed re-run produced a different machine "
+                               "dump";
+    detail += localizeDivergence(eng, eng, cfg, first, second, false).detail;
+    return failVerdict(OracleKind::Determinism, detail);
 }
 
 OracleVerdict
@@ -481,8 +504,7 @@ checkCheckpointRoundTrip(const core::SimConfig &cfg,
     // uninterrupted run produces.
     RunArtifacts ref;
     try {
-        const SerialEngine serial;
-        ref = serial.execute(cfg);
+        ref = Engine().execute(cfg);
     } catch (const std::exception &e) {
         return failVerdict(OracleKind::CheckpointRoundTrip,
                            std::string("reference run died: ") + e.what());
@@ -560,8 +582,7 @@ checkCoherence(const core::SimConfig &cfg)
     checked.system.check_coherence = true;
     PanicThrowGuard guard;
     try {
-        const SerialEngine serial;
-        (void)serial.execute(checked);
+        (void)Engine().execute(checked);
     } catch (const SimInvariantError &e) {
         const std::string what = e.what();
         return failVerdict(OracleKind::Coherence, firstLine(what),
@@ -593,11 +614,10 @@ compareEngines(const Engine &ref, const Engine &cand,
     } catch (const std::exception &e) {
         // A dying candidate is a *detected* divergence: the dynamic
         // checkers killed it where the reference survived.
-        OracleVerdict v = failVerdict(OracleKind::Differential,
-                                      "candidate engine " + cand.name() +
-                                          " died: " + firstLine(e.what()),
-                                      firstLines(e.what(), 12));
-        return v;
+        return failVerdict(OracleKind::Differential,
+                           "candidate engine " + cand.name() +
+                               " died: " + firstLine(e.what()),
+                           firstLines(e.what(), 12));
     }
 
     if (renderArtifacts(ra) == renderArtifacts(ca) &&
@@ -610,53 +630,15 @@ compareEngines(const Engine &ref, const Engine &cand,
         return v;
     }
 
-    // Localize via the epoch-hash streams (the dbsim-diverge idiom),
-    // then bisect to a cycle when both engines can probe.
-    const std::vector<sim::EpochHash> &ea = ra.result.epoch_hashes;
-    const std::vector<sim::EpochHash> &eb = ca.result.epoch_hashes;
-    const std::size_t n = ea.size() < eb.size() ? ea.size() : eb.size();
-    std::size_t k = 0;
-    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
-        ++k;
-
+    const Localization where =
+        localizeDivergence(ref, cand, cfg, ra, ca, localize);
     std::ostringstream os;
     os << "engines diverge (" << ref.name() << " vs " << cand.name()
-       << ", candidate bug triggers: " << ca.bug_triggers << ")";
-    if (k < n) {
-        os << "\nfirst divergent epoch: cycle " << ea[k].epoch << " (sample "
-           << k << ")";
-        const Cycles lo_epoch = k ? ea[k - 1].epoch : 0;
-        std::uint64_t h_ref = 0, h_cand = 0;
-        if (localize && ref.probeStateHash(cfg, ea[k].epoch, &h_ref) &&
-            cand.probeStateHash(cfg, ea[k].epoch, &h_cand)) {
-            // Binary search in (lo_epoch, ea[k].epoch]: runs agree at
-            // lo_epoch, differ at ea[k].epoch.
-            Cycles lo = lo_epoch, hi = ea[k].epoch;
-            while (hi - lo > 1) {
-                const Cycles mid = lo + (hi - lo) / 2;
-                std::uint64_t pa = 0, pb = 0;
-                if (!ref.probeStateHash(cfg, mid, &pa) ||
-                    !cand.probeStateHash(cfg, mid, &pb))
-                    break;
-                if (pa != pb)
-                    hi = mid;
-                else
-                    lo = mid;
-            }
-            os << "\nbisected first divergent cycle: " << hi;
-        }
-        os << "\nreproduce with: dbsim-diverge --workload "
-           << (cfg.workload == core::WorkloadKind::Oltp ? "oltp" : "dss")
-           << " --nodes " << cfg.system.num_nodes << " --instructions "
-           << cfg.total_instructions;
-    } else if (ea.size() != eb.size()) {
-        os << "\nepoch streams agree but lengths differ: " << ea.size()
-           << " vs " << eb.size();
-    } else {
-        os << "\nepoch streams identical; divergence is counters-only";
-    }
+       << ", candidate bug triggers: " << ca.bug_triggers << ")"
+       << where.detail;
     OracleVerdict v = failVerdict(OracleKind::Differential, os.str());
     v.cand_bug_triggers = ca.bug_triggers;
+    v.divergent_cycle = where.cycle;
     return v;
 }
 

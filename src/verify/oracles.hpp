@@ -6,11 +6,8 @@
  * An Engine turns a SimConfig into RunArtifacts -- every deterministic
  * observable of one complete run (report fields, characterization,
  * counters, epoch-hash stream, final state hash and machine dump).
- * The serial engine wraps core::Simulation; a mutant engine seeds one
- * verify::ProtocolBug through the real decision points (the same
- * attachment idiom as tools/dbsim-diverge).  Any future engine (a
- * parallel one, say) implements the same interface and inherits the
- * entire fuzz corpus as a differential test bed.
+ * It is the production serial simulator (core::Simulation), optionally
+ * with one verify::ProtocolBug seeded through the real decision points.
  *
  * Oracles return a structured OracleVerdict instead of asserting, so
  * the fuzzer can triage failures into buckets by signature and the
@@ -33,15 +30,14 @@
  *    converted into a verdict carrying the crash-dump excerpt;
  *  - differential: reference vs candidate engine on rendered
  *    artifacts; on mismatch the epoch-hash streams localize the first
- *    divergent epoch, refined to a cycle via probeStateHash()
- *    bisection when both engines support it.
+ *    divergent epoch, refined to a cycle by bisecting with
+ *    Engine::stateAt() probes (tools/dbsim-diverge is a CLI over it).
  */
 
 #ifndef DBSIM_VERIFY_ORACLES_HPP
 #define DBSIM_VERIFY_ORACLES_HPP
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,38 +81,43 @@ struct RunArtifacts
  */
 std::string renderArtifacts(const RunArtifacts &a);
 
-/** A pluggable simulation engine (see file comment). */
+/**
+ * The simulation engine: core::Simulation with an optional seeded
+ * protocol bug (ProtocolBug::None is the production simulator).  The
+ * mutator is attached at both decision-point families: core-side
+ * consistency bugs via CoreParams, fabric-side protocol bugs via
+ * System::attachMutator.
+ */
 class Engine
 {
   public:
-    virtual ~Engine() = default;
-    virtual std::string name() const = 0;
+    explicit Engine(ProtocolBug bug = ProtocolBug::None) : bug_(bug) {}
+
+    /** "serial", or "mutant:<bug>" with a seeded bug. */
+    std::string name() const;
 
     /** Run @p cfg to completion and collect artifacts.  Throws what the
      *  simulation throws (SimInvariantError under a panic guard,
      *  SimTimeoutError, ...); compareEngines() treats a dying candidate
      *  as a detected divergence. */
-    virtual RunArtifacts execute(const core::SimConfig &cfg) const = 0;
+    RunArtifacts execute(const core::SimConfig &cfg) const;
 
-    /** Optional bisection probe: run @p cfg to stop_at_cycle @p stop_at
-     *  and store the machine stateHash().  Returns false when the
-     *  engine cannot probe (bisection degrades to epoch granularity). */
-    virtual bool
-    probeStateHash(const core::SimConfig &cfg, Cycles stop_at,
-                   std::uint64_t *hash) const
+    /** The machine at one cycle. */
+    struct State
     {
-        (void)cfg;
-        (void)stop_at;
-        (void)hash;
-        return false;
-    }
+        std::uint64_t hash = 0; ///< System::stateHash()
+        std::string dump;       ///< sim::machineStateDump()
+    };
+
+    /** Run @p cfg with epoch hashing off until the loop top reaches
+     *  @p cycle (stop_at_cycle) and return the machine state there.
+     *  @p cycle must be nonzero: stop_at_cycle 0 means "run to
+     *  completion". */
+    State stateAt(const core::SimConfig &cfg, Cycles cycle) const;
+
+  private:
+    ProtocolBug bug_;
 };
-
-/** The production serial engine (core::Simulation). */
-std::unique_ptr<Engine> makeSerialEngine();
-
-/** The serial engine with one seeded protocol bug (teeth tests). */
-std::unique_ptr<Engine> makeMutantEngine(ProtocolBug bug);
 
 /** Which oracle produced a verdict. */
 enum class OracleKind : std::uint8_t
@@ -146,7 +147,18 @@ struct OracleVerdict
      *  (0 elsewhere).  A passing mutant comparison with 0 triggers
      *  means the bug was never exercised, not that it is benign. */
     std::uint64_t cand_bug_triggers = 0;
+
+    /** Differential oracle only: the bisected first divergent cycle --
+     *  the engines' states agree at cycle - 1 and differ at cycle.  0
+     *  when the divergence was not localized to a cycle. */
+    Cycles divergent_cycle = 0;
 };
+
+/** First line of @p s (the whole string if single-line). */
+std::string firstLine(const std::string &s);
+
+/** First @p n lines of @p s, newlines kept (crash-dump excerpts). */
+std::string firstLines(const std::string &s, std::size_t n);
 
 /**
  * Artifact-level fault injection (oracle teeth tests): corrupts a
@@ -200,10 +212,10 @@ OracleVerdict checkCoherence(const core::SimConfig &cfg);
  * Differential oracle: @p ref and @p cand both run @p cfg; their
  * renders must be byte-identical.  A candidate that dies (panic /
  * invariant / timeout) is a detected divergence, not a harness error.
- * On mismatch with @p localize set, the detail names the first
- * divergent epoch and -- when both engines can probe -- the bisected
- * first divergent cycle; the shrinker passes false (it only needs the
- * bucket signature, and each probe is a partial re-run).
+ * On mismatch the detail names the first divergent epoch sample; with
+ * @p localize set it also bisects to the first divergent cycle.  The
+ * shrinker passes false (it only needs the bucket signature, and each
+ * probe is a partial re-run).
  */
 OracleVerdict compareEngines(const Engine &ref, const Engine &cand,
                              const core::SimConfig &cfg,

@@ -17,9 +17,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -246,8 +246,7 @@ TEST(Oracles, CleanFuzzCasePassesAllOracles)
 TEST(Oracles, ArtifactFaultsTripConservation)
 {
     const SimConfig cfg = smallConfig();
-    const std::unique_ptr<Engine> eng = makeSerialEngine();
-    const RunArtifacts base = eng->execute(cfg);
+    const RunArtifacts base = Engine().execute(cfg);
     EXPECT_TRUE(checkConservation(cfg, base).ok)
         << checkConservation(cfg, base).detail;
     for (const ArtifactFault f :
@@ -277,9 +276,9 @@ TEST(Oracles, CheckpointRoundTripCleanPassesCorruptFails)
 TEST(Oracles, DeterminismOracleAcceptsSerialEngine)
 {
     const SimConfig cfg = smallConfig();
-    const std::unique_ptr<Engine> eng = makeSerialEngine();
-    const RunArtifacts first = eng->execute(cfg);
-    const OracleVerdict v = checkDeterminism(*eng, cfg, first);
+    const Engine eng;
+    const RunArtifacts first = eng.execute(cfg);
+    const OracleVerdict v = checkDeterminism(eng, cfg, first);
     EXPECT_TRUE(v.ok) << v.detail;
 }
 
@@ -289,9 +288,7 @@ TEST(Oracles, DeterminismOracleAcceptsSerialEngine)
 TEST(Differential, SerialVsSelfIsIdentical)
 {
     const SimConfig cfg = smallConfig();
-    const std::unique_ptr<Engine> a = makeSerialEngine();
-    const std::unique_ptr<Engine> b = makeSerialEngine();
-    const OracleVerdict v = compareEngines(*a, *b, cfg, true);
+    const OracleVerdict v = compareEngines(Engine(), Engine(), cfg, true);
     EXPECT_TRUE(v.ok) << v.detail;
 }
 
@@ -301,13 +298,63 @@ TEST(Differential, SerialVsMutantIsDetected)
     // first incoherent access (a detected divergence); without the
     // checker it finishes and the renders diverge.  Both count.
     const SimConfig cfg = smallConfig();
-    const std::unique_ptr<Engine> ref = makeSerialEngine();
-    const std::unique_ptr<Engine> mut =
-        makeMutantEngine(ProtocolBug::DroppedInvalidation);
-    const OracleVerdict v = compareEngines(*ref, *mut, cfg, false);
+    const OracleVerdict v = compareEngines(
+        Engine(), Engine(ProtocolBug::DroppedInvalidation), cfg, false);
     EXPECT_FALSE(v.ok)
         << "a seeded dropped-invalidation run compared equal to clean";
     EXPECT_FALSE(v.detail.empty());
+}
+
+/** Sets DBSIM_CHECK for one scope and restores the previous value. */
+class ScopedCheckEnv
+{
+  public:
+    explicit ScopedCheckEnv(const char *value)
+    {
+        const char *old = std::getenv("DBSIM_CHECK");
+        had_ = old != nullptr;
+        if (had_)
+            old_ = old;
+        ::setenv("DBSIM_CHECK", value, 1);
+    }
+    ~ScopedCheckEnv()
+    {
+        if (had_)
+            ::setenv("DBSIM_CHECK", old_.c_str(), 1);
+        else
+            ::unsetenv("DBSIM_CHECK");
+    }
+
+  private:
+    bool had_ = false;
+    std::string old_;
+};
+
+TEST(Differential, LocalizedCycleIsExact)
+{
+    // The mutant must run to completion for its hash stream to exist;
+    // the suite's DBSIM_CHECK=1 would kill it at the first incoherent
+    // access.
+    const ScopedCheckEnv unchecked("0");
+    SimConfig cfg = core::makeScaledConfig(core::WorkloadKind::Oltp, 2);
+    cfg.total_instructions = 30000;
+    cfg.warmup_instructions = 0;
+    cfg.system.state_hash_interval = 2000;
+
+    const Engine ref, mut(ProtocolBug::DroppedInvalidation);
+    EXPECT_TRUE(compareEngines(ref, ref, cfg).ok);
+
+    const OracleVerdict v = compareEngines(ref, mut, cfg);
+    ASSERT_FALSE(v.ok) << "the seeded bug produced no divergence";
+    EXPECT_GT(v.cand_bug_triggers, 0u);
+    const Cycles c = v.divergent_cycle;
+    ASSERT_GT(c, 0u) << v.detail;
+    // Exact: the states still agree one cycle earlier.
+    if (c > 1) {
+        EXPECT_EQ(ref.stateAt(cfg, c - 1).hash,
+                  mut.stateAt(cfg, c - 1).hash);
+    }
+    EXPECT_NE(ref.stateAt(cfg, c).hash, mut.stateAt(cfg, c).hash);
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "common/log.hpp"
+#include "common/mutator.hpp"
 #include "cpu/consistency.hpp"
 #include "verify/suite.hpp"
 
@@ -48,10 +49,7 @@ listAll()
                   << c.blocks << " blocks, " << ops << " ops)\n";
     }
     std::cout << "protocol bugs:\n";
-    for (const ProtocolBug b :
-         {ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
-          ProtocolBug::MissingDowngrade, ProtocolBug::LostSharerBit,
-          ProtocolBug::SkippedSpecSquash, ProtocolBug::ReorderedRelease})
+    for (const ProtocolBug b : kProtocolBugs)
         std::cout << "  " << protocolBugName(b) << "\n";
     return 0;
 }
@@ -59,12 +57,9 @@ listAll()
 ProtocolBug
 parseBug(const std::string &name)
 {
-    for (const ProtocolBug b :
-         {ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
-          ProtocolBug::MissingDowngrade, ProtocolBug::LostSharerBit,
-          ProtocolBug::SkippedSpecSquash, ProtocolBug::ReorderedRelease})
-        if (name == protocolBugName(b))
-            return b;
+    ProtocolBug b = ProtocolBug::None;
+    if (protocolBugFromName(name, &b) && b != ProtocolBug::None)
+        return b;
     std::cerr << "dbsim-mc: unknown bug '" << name << "' (try --list)\n";
     std::exit(2);
 }

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "common/parse.hpp"
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
@@ -88,44 +89,10 @@ inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
     BenchOptions opts;
-    auto parseUnsigned = [](const std::string &field, const std::string &v,
-                            bool allow_zero) -> unsigned {
-        std::size_t pos = 0;
-        unsigned long n = 0;
-        try {
-            n = std::stoul(v, &pos);
-        } catch (const std::exception &) {
-            pos = 0;
-        }
-        if (pos != v.size() || (!allow_zero && n == 0) ||
-            v.find('-') != std::string::npos) {
-            throw ConfigError(field, "--" + field.substr(4) + " wants a " +
-                                         (allow_zero ? "nonnegative"
-                                                     : "positive") +
-                                         " integer, got \"" + v + "\"");
-        }
-        return static_cast<unsigned>(n);
-    };
-    auto parseCycles = [](const std::string &field,
-                          const std::string &v) -> std::uint64_t {
-        std::size_t pos = 0;
-        unsigned long long n = 0;
-        try {
-            n = std::stoull(v, &pos);
-        } catch (const std::exception &) {
-            pos = 0;
-        }
-        if (pos != v.size() || v.find('-') != std::string::npos) {
-            throw ConfigError(field, "--" + field.substr(4) +
-                                         " wants a nonnegative cycle "
-                                         "count, got \"" +
-                                         v + "\"");
-        }
-        return static_cast<std::uint64_t>(n);
-    };
+    constexpr std::uint64_t kMaxU32 = 0xffffffffu;
     auto apply = [&](const std::string &flag, const std::string &v) {
         if (flag == "--jobs") {
-            opts.jobs = parseUnsigned("cli.jobs", v, /*allow_zero=*/false);
+            opts.jobs = parseUnsignedFlag(flag, v, 1, kMaxU32);
         } else if (flag == "--json") {
             opts.json_path = v;
         } else if (flag == "--journal") {
@@ -133,19 +100,15 @@ parseBenchArgs(int argc, char **argv)
         } else if (flag == "--resume") {
             opts.resume_path = v;
         } else if (flag == "--max-retries") {
-            opts.max_retries =
-                parseUnsigned("cli.max-retries", v, /*allow_zero=*/true);
+            opts.max_retries = parseUnsignedFlag(flag, v, 0, kMaxU32);
         } else if (flag == "--item-timeout-sec") {
-            opts.item_timeout_sec = parseUnsigned("cli.item-timeout-sec", v,
-                                                  /*allow_zero=*/true);
+            opts.item_timeout_sec = parseUnsignedFlag(flag, v, 0, kMaxU32);
         } else if (flag == "--checkpoint-dir") {
             opts.checkpoint_dir = v;
         } else if (flag == "--checkpoint-interval") {
-            opts.checkpoint_interval =
-                parseCycles("cli.checkpoint-interval", v);
+            opts.checkpoint_interval = parseUnsignedFlag(flag, v);
         } else if (flag == "--state-hash-interval") {
-            opts.state_hash_interval =
-                parseCycles("cli.state-hash-interval", v);
+            opts.state_hash_interval = parseUnsignedFlag(flag, v);
         } else if (flag == "--on-failure") {
             if (v == "collect") {
                 opts.collect_failures = true;

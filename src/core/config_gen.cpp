@@ -160,60 +160,7 @@ simConfigSignature(const SimConfig &cfg)
 {
     snap::Writer w;
     w.u32(cfg.system.num_nodes);
-    for (const sim::CacheLevelParams *lvl :
-         {&cfg.system.node.l1i, &cfg.system.node.l1d, &cfg.system.node.l2}) {
-        w.u64(lvl->size_bytes);
-        w.u32(lvl->assoc);
-        w.u32(lvl->line_bytes);
-        w.u64(lvl->hit_time);
-        w.u32(lvl->mshrs);
-        w.u32(lvl->ports);
-    }
-    w.u32(cfg.system.node.itlb_entries);
-    w.u32(cfg.system.node.dtlb_entries);
-    w.u32(cfg.system.node.page_bytes);
-    w.u64(cfg.system.node.tlb_miss_penalty);
-    w.u32(cfg.system.node.stream_buffer_entries);
-    w.boolean(cfg.system.node.perfect_icache);
-    w.boolean(cfg.system.node.perfect_itlb);
-    w.boolean(cfg.system.node.perfect_dtlb);
-    w.u64(cfg.system.node.l2_port_hold);
-
-    const cpu::CoreParams &c = cfg.system.core;
-    w.boolean(c.out_of_order);
-    w.u32(c.issue_width);
-    w.u32(c.window_size);
-    w.u32(c.mem_queue_size);
-    w.u32(c.write_buffer_size);
-    w.u32(c.max_spec_branches);
-    w.u32(c.mispredict_restart);
-    w.u32(c.rollback_penalty);
-    w.u32(c.fetch_line_bytes);
-    w.u32(c.spin_retry_interval);
-    w.u64(c.spin_yield_threshold);
-    w.u64(c.context_switch_cost);
-    w.u8(static_cast<std::uint8_t>(c.model));
-    w.boolean(c.cons.hw_prefetch);
-    w.boolean(c.cons.spec_loads);
-
-    const coher::FabricParams &f = cfg.system.fabric;
-    w.u64(f.bus_hold);
-    w.u64(f.dir_hold);
-    w.u64(f.dram_hold);
-    w.u64(f.resp_overhead);
-    w.u64(f.owner_l2_hold);
-    w.u64(f.c2c_extra);
-    w.f64(f.migratory_read_factor);
-    w.boolean(f.adaptive_migratory);
-    w.boolean(f.flush_invalidates);
-
-    const net::MeshParams &m = cfg.system.mesh;
-    w.u32(m.router_delay);
-    w.u32(m.wire_delay);
-    w.u32(m.inject_delay);
-    w.u32(m.ctrl_flits);
-    w.u32(m.data_flits);
-
+    sim::signMachineParams(w, cfg.system);
     w.u64(cfg.system.sched_quantum);
     w.u32(cfg.system.page_bins);
 

@@ -9,6 +9,9 @@
  *    budgets) in a fixed serialization order.  Unlike
  *    System::configSignature() it needs no machine to be built, so the
  *    fuzzer can fingerprint thousands of generated configs cheaply.
+ *    The machine block (core, node, fabric, mesh) is written by
+ *    sim::signMachineParams(), the same field list the checkpoint
+ *    signature hashes, so the two fingerprints cannot drift apart.
  *    Host observation knobs (checkpoint paths/intervals, stop_at_cycle,
  *    check_coherence, state_hash_interval, watchdog) are excluded: two
  *    configs that simulate identically hash identically.

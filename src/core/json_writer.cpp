@@ -1,10 +1,12 @@
 #include "core/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 
 namespace dbsim::core {
 
@@ -256,6 +258,279 @@ JsonWriter::rawValue(std::string_view json)
     if (stack_.empty())
         root_done_ = true;
     return *this;
+}
+
+// ---------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------
+
+const std::string *
+JsonScalars::stringAt(const std::string &path) const
+{
+    const auto it = values.find(path);
+    return it != values.end() && it->second.kind == JsonScalar::Kind::String
+               ? &it->second.text
+               : nullptr;
+}
+
+namespace {
+
+/** A syntax error at byte offset `at` of the document. */
+struct JsonSyntaxError
+{
+    std::size_t at;
+    std::string why;
+};
+
+void
+appendUtf8(std::string &out, std::uint32_t cp)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+        return;
+    }
+    const int tail = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3; // 10xxxxxx bytes
+    out += static_cast<char>(((0xFF00 >> (tail + 1)) & 0xFF) |
+                             (cp >> (6 * tail)));
+    for (int i = tail - 1; i >= 0; --i)
+        out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F));
+}
+
+/** Recursive-descent reader; every error throws JsonSyntaxError. */
+class JsonReader
+{
+  public:
+    JsonReader(std::string_view text, JsonScalars &out)
+        : s_(text), out_(out)
+    {
+    }
+
+    void
+    document()
+    {
+        value("", 0);
+        skipWs();
+        if (pos_ != s_.size())
+            fail("trailing bytes after the document");
+    }
+
+  private:
+    [[noreturn]] void
+    fail(std::string why) const
+    {
+        throw JsonSyntaxError{pos_, std::move(why)};
+    }
+
+    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+
+    bool
+    consume(char c)
+    {
+        if (peek() != c)
+            return false;
+        ++pos_;
+        return true;
+    }
+
+    void
+    expect(char c)
+    {
+        skipWs();
+        if (!consume(c))
+            fail(std::string("expected '") + c + "'");
+    }
+
+    void
+    skipWs()
+    {
+        while (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
+               peek() == '\r')
+            ++pos_;
+    }
+
+    std::size_t
+    digits()
+    {
+        const std::size_t from = pos_;
+        while (peek() >= '0' && peek() <= '9')
+            ++pos_;
+        return pos_ - from;
+    }
+
+    void
+    value(const std::string &path, int depth)
+    {
+        skipWs();
+        const std::size_t start = pos_;
+        const char c = peek();
+        if (c == '{' || c == '[') {
+            if (depth == kJsonMaxDepth)
+                fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+            ++pos_;
+            container(path, depth + 1, c == '{' ? '}' : ']');
+            return;
+        }
+        JsonScalar v;
+        if (c == '"') {
+            v.kind = JsonScalar::Kind::String;
+            v.text = string();
+        } else if (word("true") || word("false") || word("null")) {
+            v.kind = c == 'n' ? JsonScalar::Kind::Null
+                              : JsonScalar::Kind::Bool;
+            v.text = std::string(s_.substr(start, pos_ - start));
+        } else {
+            number(v);
+        }
+        if (!out_.values.emplace(path, std::move(v)).second) {
+            pos_ = start;
+            fail("duplicate key \"" + path + "\"");
+        }
+    }
+
+    /** The members of an object (@p close '}') or array (']'). */
+    void
+    container(const std::string &path, int depth, char close)
+    {
+        skipWs();
+        if (consume(close))
+            return;
+        for (std::size_t i = 0;; ++i) {
+            std::string key = std::to_string(i);
+            if (close == '}') {
+                skipWs();
+                if (peek() != '"')
+                    fail("expected a string key");
+                key = string();
+                expect(':');
+            }
+            value(path.empty() ? key : path + "." + key, depth);
+            skipWs();
+            if (!consume(','))
+                break;
+        }
+        expect(close);
+    }
+
+    bool
+    word(std::string_view w)
+    {
+        if (s_.substr(pos_, w.size()) != w)
+            return false;
+        pos_ += w.size();
+        return true;
+    }
+
+    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
+    void
+    number(JsonScalar &v)
+    {
+        const std::size_t start = pos_;
+        bool plain = !consume('-'); // an unsigned integer so far
+        const std::size_t int_digits = digits();
+        if (int_digits == 0)
+            fail("expected a value");
+        if (int_digits > 1 && s_[pos_ - int_digits] == '0')
+            fail("leading zero in a number");
+        if (consume('.')) {
+            plain = false;
+            if (digits() == 0)
+                fail("expected a digit after '.'");
+        }
+        if (consume('e') || consume('E')) {
+            plain = false;
+            if (!consume('+'))
+                consume('-');
+            if (digits() == 0)
+                fail("expected exponent digits");
+        }
+        v.kind = plain ? JsonScalar::Kind::Unsigned : JsonScalar::Kind::Number;
+        v.text = std::string(s_.substr(start, pos_ - start));
+        if (!plain)
+            return;
+        const std::optional<std::uint64_t> u = parseUnsigned(v.text);
+        if (!u) {
+            pos_ = start;
+            fail("integer " + v.text + " does not fit in 64 bits");
+        }
+        v.value = *u;
+    }
+
+    std::uint32_t
+    hex4()
+    {
+        std::uint32_t v = 0;
+        const char *p = s_.data() + pos_;
+        if (s_.size() - pos_ < 4 ||
+            std::from_chars(p, p + 4, v, 16).ptr != p + 4)
+            fail("\\u wants four hex digits");
+        pos_ += 4;
+        return v;
+    }
+
+    /** A \uXXXX escape (pos_ just past the 'u'), surrogate pairs joined. */
+    std::uint32_t
+    codePoint()
+    {
+        const std::uint32_t hi = hex4();
+        if (hi < 0xD800 || hi > 0xDFFF)
+            return hi;
+        if (hi >= 0xDC00 || s_.substr(pos_, 2) != "\\u")
+            fail("unpaired surrogate");
+        pos_ += 2;
+        const std::uint32_t lo = hex4();
+        if (lo < 0xDC00 || lo > 0xDFFF)
+            fail("unpaired surrogate");
+        return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+    }
+
+    std::string
+    string()
+    {
+        std::string out;
+        for (++pos_;;) { // past the opening quote
+            if (pos_ == s_.size())
+                fail("unterminated string");
+            const char c = s_[pos_];
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("raw control character in a string");
+            ++pos_;
+            if (c == '"')
+                return out;
+            if (c != '\\') {
+                out += c;
+            } else if (consume('u')) {
+                appendUtf8(out, codePoint());
+            } else {
+                const std::size_t k =
+                    std::string_view("\"\\/bfnrt").find(peek());
+                if (k == std::string_view::npos)
+                    fail("unknown escape");
+                out += "\"\\/\b\f\n\r\t"[k];
+                ++pos_;
+            }
+        }
+    }
+
+    std::string_view s_;
+    std::size_t pos_ = 0;
+    JsonScalars &out_;
+};
+
+} // namespace
+
+bool
+parseJson(std::string_view text, JsonScalars *out, std::string *err)
+{
+    JsonScalars doc;
+    try {
+        JsonReader(text, doc).document();
+    } catch (const JsonSyntaxError &e) {
+        if (err)
+            *err = "byte " + std::to_string(e.at) + ": " + e.why;
+        return false;
+    }
+    *out = std::move(doc);
+    return true;
 }
 
 } // namespace dbsim::core

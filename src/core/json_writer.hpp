@@ -1,19 +1,23 @@
 /**
  * @file
- * Minimal streaming JSON writer for machine-readable bench reports.
+ * dbsim's JSON: a minimal streaming writer for machine-readable
+ * reports, and the one strict reader that reads them back.
  *
- * There is no external JSON dependency in the container, and the
- * reporting layer only ever needs to *emit* JSON, so this is a small
- * single-pass writer: objects, arrays, strings (fully escaped), and
- * numbers, with deterministic formatting -- identical inputs produce
- * byte-identical documents, which the sweep determinism contract
- * (DESIGN.md) relies on.
+ * There is no external JSON dependency in the container.  The writer is
+ * a small single-pass emitter: objects, arrays, strings (fully
+ * escaped), and numbers, with deterministic formatting -- identical
+ * inputs produce byte-identical documents, which the sweep determinism
+ * contract (DESIGN.md) relies on.  The reader (parseJson) accepts full
+ * JSON and flattens it to dotted-path scalars; it is how a resumed
+ * sweep validates its journal lines and how dbsim-fuzz loads a repro
+ * file.
  */
 
 #ifndef DBSIM_CORE_JSON_WRITER_HPP
 #define DBSIM_CORE_JSON_WRITER_HPP
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -71,8 +75,9 @@ class JsonWriter
      * still applies).  The caller vouches that @p json is one complete,
      * well-formed JSON value; the writer only rejects an empty string.
      * This is how the sweep reporter splices journaled result lines --
-     * rendered by this same writer in an earlier process -- into a
-     * resumed report without a JSON parser.
+     * rendered by this same writer in an earlier process, and checked
+     * by parseJson() when the journal was loaded -- into a resumed
+     * report byte for byte.
      */
     JsonWriter &rawValue(std::string_view json);
 
@@ -107,6 +112,52 @@ class JsonWriter
     bool root_done_ = false;
     bool warned_nonfinite_ = false; ///< one NaN/Inf warning per document
 };
+
+/** One scalar of a parsed JSON document. */
+struct JsonScalar
+{
+    enum class Kind : std::uint8_t {
+        String,   ///< text holds the decoded string
+        Unsigned, ///< a plain unsigned integer; value holds it
+        Number,   ///< any other number; text holds it as written
+        Bool,     ///< text is "true" or "false"
+        Null,
+    };
+    Kind kind = Kind::Null;
+    std::string text;
+    std::uint64_t value = 0;
+};
+
+/**
+ * A JSON document flattened to its scalars, keyed by dotted path: the
+ * member "b" of the top-level object "a" is "a.b", and element 2 of the
+ * array "xs" is "xs.2".  Empty objects and arrays leave no entry.
+ */
+struct JsonScalars
+{
+    std::map<std::string, JsonScalar> values;
+
+    /** The string at @p path, or nullptr when absent or not a string. */
+    const std::string *stringAt(const std::string &path) const;
+    /** True when @p path exists (with any kind of value). */
+    bool has(const std::string &path) const { return values.count(path) > 0; }
+};
+
+/** Nesting limit of parseJson(): deeper documents are rejected. */
+constexpr int kJsonMaxDepth = 32;
+
+/**
+ * Parse @p text as exactly one JSON value (RFC 8259: objects, arrays,
+ * strings with every escape -- \uXXXX, surrogate pairs included,
+ * decodes to UTF-8 -- numbers, true/false/null) into @p out.  Strict:
+ * trailing bytes, raw control characters in strings, leading zeros,
+ * nesting deeper than kJsonMaxDepth and a path that occurs twice are
+ * errors, and an unsigned integer too large for 64 bits is an error
+ * rather than a wrapped value.  Returns false with *err (when non-null)
+ * naming the byte offset of the problem.
+ */
+bool parseJson(std::string_view text, JsonScalars *out,
+               std::string *err = nullptr);
 
 } // namespace dbsim::core
 

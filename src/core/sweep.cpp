@@ -1,10 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +12,7 @@
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
@@ -101,6 +99,49 @@ SweepOutcome::failures() const
     return n;
 }
 
+void
+forEachIndex(std::size_t n, unsigned jobs,
+             const std::function<void(std::size_t)> &fn)
+{
+    const std::size_t workers = std::min<std::size_t>(jobs, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::mutex mu;
+    std::exception_ptr first_error; // guarded by mu
+    const auto worker = [&] {
+        try {
+            for (std::size_t i = next++; i < n; i = next++)
+                fn(i);
+        } catch (...) {
+            const std::lock_guard<std::mutex> lock(mu);
+            if (!first_error)
+                first_error = std::current_exception();
+            next = n; // hand out no further indices
+        }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    try {
+        for (std::size_t w = 0; w < workers; ++w)
+            pool.emplace_back(worker);
+    } catch (...) {
+        // Thread creation failed: stop and join the threads already
+        // running before their captures go out of scope.
+        next = n;
+        for (std::thread &t : pool)
+            t.join();
+        throw;
+    }
+    for (std::thread &t : pool)
+        t.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
+}
+
 // ---------------------------------------------------------------------
 // SweepRunner
 // ---------------------------------------------------------------------
@@ -112,21 +153,14 @@ SweepRunner::resolveJobs(unsigned cli_jobs)
     const char *source = "--jobs";
     if (cli_jobs > 0) {
         resolved = cli_jobs;
-    } else if (const char *env = std::getenv("DBSIM_JOBS"); env && *env) {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && errno != ERANGE && v > 0 &&
-            std::strchr(env, '-') == nullptr) {
-            // Clamp before the unsigned narrowing: a huge DBSIM_JOBS
-            // must not wrap into a small (or zero) thread count.
-            resolved = v > kMaxJobs ? kMaxJobs + 1
-                                    : static_cast<unsigned>(v);
-            source = "DBSIM_JOBS";
-        } else {
-            DBSIM_WARN("DBSIM_JOBS=\"", env,
-                       "\" is not a positive integer; ignoring it");
-        }
+    } else if (const auto v = unsignedFromEnv("DBSIM_JOBS",
+                                               "a positive integer")) {
+        // Clamp before the unsigned narrowing: a huge DBSIM_JOBS must
+        // not wrap into a small (or zero) thread count.
+        resolved = *v > kMaxJobs ? kMaxJobs + 1 : static_cast<unsigned>(*v);
+        source = "DBSIM_JOBS";
+        if (*v == 0)
+            DBSIM_WARN("DBSIM_JOBS=0 is not a positive integer; ignoring it");
     }
     if (resolved == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
@@ -146,20 +180,10 @@ SweepRunner::resolveItemTimeout(double cli_seconds)
 {
     if (cli_seconds > 0.0)
         return cli_seconds;
-    const char *env = std::getenv("DBSIM_ITEM_TIMEOUT");
-    if (!env || !*env)
-        return 0.0;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE ||
-        std::strchr(env, '-') != nullptr) {
-        DBSIM_WARN("DBSIM_ITEM_TIMEOUT=\"", env,
-                   "\" is not a valid timeout (expected a nonnegative "
-                   "number of seconds); ignoring it");
-        return 0.0;
-    }
-    return static_cast<double>(v);
+    return static_cast<double>(
+        unsignedFromEnv("DBSIM_ITEM_TIMEOUT",
+                        "a nonnegative number of seconds")
+            .value_or(0));
 }
 
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
@@ -473,31 +497,9 @@ SweepRunner::runChecked(
         guard.emplace();
 
     SweepCollector collector(items.size(), on_complete_);
-    auto work = [&](std::size_t i) {
+    forEachIndex(items.size(), jobs_, [&](std::size_t i) {
         collector.deliver(i, runIsolated(items[i], original_indices[i]));
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, items.size()));
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < items.size(); ++i)
-            work(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < items.size(); i = next.fetch_add(1)) {
-                    work(i);
-                }
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-    }
+    });
     return collector.take();
 }
 
@@ -732,122 +734,6 @@ writeSweepJsonFile(const std::string &path, const SweepReport &report)
 // Journal + resume
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Extract the string value of top-level @p key from a compact JSON
- * object line produced by renderSweepEntryJson().  Escape-aware reverse
- * of jsonEscape for the common sequences; returns false when the key is
- * absent or the value is malformed (e.g. a torn line).
- */
-bool
-extractJsonString(const std::string &line, const std::string &key,
-                  std::string &out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t start = line.find(needle);
-    if (start == std::string::npos)
-        return false;
-    out.clear();
-    std::size_t i = start + needle.size();
-    while (i < line.size()) {
-        const char c = line[i];
-        if (c == '"')
-            return true;
-        if (c != '\\') {
-            out += c;
-            ++i;
-            continue;
-        }
-        if (i + 1 >= line.size())
-            return false;
-        const char e = line[i + 1];
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u': {
-            if (i + 5 >= line.size())
-                return false;
-            unsigned v = 0;
-            for (int k = 2; k <= 5; ++k) {
-                const char h = line[i + k];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            // jsonEscape only emits \u00XX for control bytes.
-            out += static_cast<char>(v & 0xff);
-            i += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-        i += 2;
-    }
-    return false; // unterminated string: torn line
-}
-
-/** Structural balance outside strings: cheap complete-object check. */
-bool
-balancedObjectLine(const std::string &line)
-{
-    if (line.empty() || line.front() != '{' || line.back() != '}')
-        return false;
-    int depth = 0;
-    bool in_string = false, escaped = false;
-    for (const char c : line) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
-    }
-    return depth == 0 && !in_string;
-}
-
-} // namespace
-
 bool
 SweepJournal::open(const std::string &path, bool append)
 {
@@ -925,19 +811,23 @@ SweepJournal::load(const std::string &path)
         ++lineno;
         if (line.empty())
             continue;
-        SweepJournalEntry e;
-        e.raw = line;
-        if (!balancedObjectLine(line) ||
-            !extractJsonString(line, "section", e.section) ||
-            !extractJsonString(line, "label", e.label) ||
-            !extractJsonString(line, "status", e.status)) {
+        // Only a line that parses as one whole JSON object is replayed:
+        // it is spliced into the report verbatim.
+        JsonScalars doc;
+        std::string why = "no string section, label or status";
+        const bool parsed = parseJson(line, &doc, &why);
+        const std::string *section = doc.stringAt("section");
+        const std::string *label = doc.stringAt("label");
+        const std::string *status = doc.stringAt("status");
+        if (!parsed || !section || !label || !status) {
             // Most likely a torn final line from a mid-write kill; the
             // item it described simply re-runs.
             DBSIM_WARN("sweep journal ", path, " line ", lineno,
-                       " is incomplete or malformed; skipping it");
+                       " is incomplete or malformed (", why,
+                       "); skipping it");
             continue;
         }
-        entries.push_back(std::move(e));
+        entries.push_back({*section, *label, *status, line});
     }
     return entries;
 }

@@ -194,7 +194,19 @@ struct SweepOutcome
 inline constexpr int kSweepPartialFailureExit = 4;
 
 /**
- * Runs a list of configurations across a bounded pool of host threads.
+ * dbsim's one worker pool: call @p fn(i) for every i in [0, n), handing
+ * the indices out from one atomic counter to min(@p jobs, n) host
+ * threads, or on the calling thread when that is at most 1.  @p fn must
+ * be safe to call concurrently and is what puts results in index order.
+ * If @p fn throws, no further indices are handed out and the first
+ * exception is rethrown once every thread has joined.
+ */
+void forEachIndex(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)> &fn);
+
+/**
+ * Runs a list of configurations across a bounded pool of host threads
+ * (forEachIndex).
  */
 class SweepRunner
 {

@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 
 #include "common/errors.hpp"
@@ -34,30 +35,12 @@ constexpr char kCheckpointMagic[8] = {'D', 'B', 'S', 'I', 'M',
                                       'C', 'K', 'P'};
 constexpr std::uint32_t kCheckpointVersion = 2;
 
-void
-signCacheLevel(snap::Writer &w, const CacheLevelParams &p)
-{
-    w.u64(p.size_bytes);
-    w.u32(p.assoc);
-    w.u32(p.line_bytes);
-    w.u64(p.hit_time);
-    w.u32(p.mshrs);
-    w.u32(p.ports);
-}
-
 } // namespace
 
-std::uint64_t
-System::configSignature() const
+void
+signMachineParams(snap::Writer &w, const SystemParams &p)
 {
-    snap::Writer w;
-    w.u32(params_.num_nodes);
-    w.u64(params_.sched_quantum);
-    w.u32(params_.page_bins);
-    w.u64(params_.max_cycles);
-    w.u64(params_.watchdog_cycles);
-
-    const cpu::CoreParams &c = params_.core;
+    const cpu::CoreParams &c = p.core;
     w.boolean(c.out_of_order);
     w.u32(c.issue_width);
     w.u32(c.window_size);
@@ -91,10 +74,15 @@ System::configSignature() const
     w.boolean(c.cons.hw_prefetch);
     w.boolean(c.cons.spec_loads);
 
-    const NodeParams &n = params_.node;
-    signCacheLevel(w, n.l1i);
-    signCacheLevel(w, n.l1d);
-    signCacheLevel(w, n.l2);
+    const NodeParams &n = p.node;
+    for (const CacheLevelParams *lvl : {&n.l1i, &n.l1d, &n.l2}) {
+        w.u64(lvl->size_bytes);
+        w.u32(lvl->assoc);
+        w.u32(lvl->line_bytes);
+        w.u64(lvl->hit_time);
+        w.u32(lvl->mshrs);
+        w.u32(lvl->ports);
+    }
     w.u32(n.itlb_entries);
     w.u32(n.dtlb_entries);
     w.u32(n.page_bytes);
@@ -105,7 +93,7 @@ System::configSignature() const
     w.boolean(n.perfect_dtlb);
     w.u64(n.l2_port_hold);
 
-    const coher::FabricParams &f = params_.fabric;
+    const coher::FabricParams &f = p.fabric;
     w.u64(f.bus_hold);
     w.u64(f.dir_hold);
     w.u64(f.dram_hold);
@@ -116,12 +104,25 @@ System::configSignature() const
     w.boolean(f.adaptive_migratory);
     w.boolean(f.flush_invalidates);
 
-    const net::MeshParams &m = params_.mesh;
+    const net::MeshParams &m = p.mesh;
     w.u32(m.router_delay);
     w.u32(m.wire_delay);
     w.u32(m.inject_delay);
     w.u32(m.ctrl_flits);
     w.u32(m.data_flits);
+}
+
+std::uint64_t
+System::configSignature() const
+{
+    snap::Writer w;
+    w.u32(params_.num_nodes);
+    w.u64(params_.sched_quantum);
+    w.u32(params_.page_bins);
+    w.u64(params_.max_cycles);
+    w.u64(params_.watchdog_cycles);
+
+    signMachineParams(w, params_);
 
     // Process placement: the checkpoint only restores into a machine
     // with the exact same process set on the exact same CPUs.

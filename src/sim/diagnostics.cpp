@@ -1,14 +1,13 @@
 #include "sim/diagnostics.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "sim/system.hpp"
 
 namespace dbsim::sim {
@@ -130,20 +129,7 @@ consumeCheckpointSignal()
 Cycles
 cyclesFromEnv(const char *name)
 {
-    const char *s = std::getenv(name);
-    if (!s || !*s)
-        return 0;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE ||
-        std::strchr(s, '-') != nullptr) {
-        DBSIM_WARN(name, "=\"", s,
-                   "\" is not a valid cycle count (expected a nonnegative "
-                   "decimal integer); ignoring it");
-        return 0;
-    }
-    return static_cast<Cycles>(v);
+    return unsignedFromEnv(name, "a nonnegative cycle count").value_or(0);
 }
 
 std::string

@@ -98,6 +98,14 @@ struct SystemParams
     void validate() const;
 };
 
+/**
+ * Write the machine block of @p p -- core (functional units and branch
+ * predictor included), node, fabric and mesh parameters, in that order
+ * -- into @p w.  The one field list that System::configSignature() and
+ * core::simConfigSignature() share.
+ */
+void signMachineParams(snap::Writer &w, const SystemParams &p);
+
 /** One epoch-hash sample: machine-state hash at an epoch boundary. */
 struct EpochHash
 {

@@ -1,18 +1,20 @@
 #include "verify/fuzzer.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
-#include <thread>
+#include <type_traits>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "core/json_writer.hpp"
+#include "core/sweep.hpp"
 #include "cpu/consistency.hpp"
 
 namespace dbsim::verify {
@@ -150,13 +152,12 @@ regenerate(const FuzzOptions &opts, std::uint64_t case_seed,
            const std::map<std::string, std::uint64_t> &overrides,
            core::SimConfig *cfg)
 {
-    Rng rng(case_seed);
-    *cfg = core::randomSimConfig(rng, opts.space);
-    for (const auto &[key, value] : overrides)
-        if (!core::applyConfigOverride(*cfg, key, value))
-            return false;
+    ReproFile r;
+    r.config_seed = case_seed;
+    r.space = opts.space;
+    r.overrides = overrides;
     try {
-        cfg->validate();
+        *cfg = reproConfig(r);
     } catch (const ConfigError &) {
         return false;
     }
@@ -335,38 +336,20 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
     rep.count = opts.count;
     rep.cases.resize(opts.count);
 
-    std::atomic<std::uint32_t> next{0};
     std::mutex log_mu;
-    const auto worker = [&]() {
-        for (;;) {
-            const std::uint32_t i = next.fetch_add(1);
-            if (i >= opts.count)
-                return;
-            FuzzCaseResult cr = runFuzzCase(opts, i);
-            if (log && !cr.passed()) {
-                const std::lock_guard<std::mutex> lock(log_mu);
-                for (const OracleVerdict &f : cr.failures) {
-                    *log << "dbsim-fuzz: case " << i << " seed 0x"
-                         << hex16(cr.case_seed) << " FAILED ["
-                         << f.signature << "]\n";
-                }
+    core::forEachIndex(opts.count, opts.jobs, [&](std::size_t i) {
+        FuzzCaseResult cr =
+            runFuzzCase(opts, static_cast<std::uint32_t>(i));
+        if (log && !cr.passed()) {
+            const std::lock_guard<std::mutex> lock(log_mu);
+            for (const OracleVerdict &f : cr.failures) {
+                *log << "dbsim-fuzz: case " << i << " seed 0x"
+                     << hex16(cr.case_seed) << " FAILED [" << f.signature
+                     << "]\n";
             }
-            rep.cases[i] = std::move(cr);
         }
-    };
-
-    const std::uint32_t jobs =
-        std::max<std::uint32_t>(1, std::min(opts.jobs, opts.count));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::uint32_t t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+        rep.cases[i] = std::move(cr);
+    });
 
     // Triage: bucket by verdict signature, in case-index order so the
     // report is independent of completion order (and of jobs).
@@ -493,177 +476,6 @@ reproFileName(const ReproFile &r)
     return "repro-" + hex16(h) + ".json";
 }
 
-namespace {
-
-/**
- * Strict parser for the exact subset renderRepro() emits: an object of
- * string keys mapping to unsigned integers, strings, or one nested
- * object level of the same shape.  Results land in two dotted-path
- * maps ("space.max_nodes" -> 8, "overrides.num_nodes" -> 1, ...).
- */
-struct MiniJson
-{
-    std::map<std::string, std::uint64_t> nums;
-    std::map<std::string, std::string> strs;
-
-    const char *p = nullptr;
-    const char *end = nullptr;
-    std::string error;
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error.empty())
-            error = why;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (p != end &&
-               (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t'))
-            ++p;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (p == end || *p != c)
-            return fail(std::string("expected '") + c + "'");
-        ++p;
-        return true;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        skipWs();
-        if (p == end || *p != '"')
-            return fail("expected string");
-        ++p;
-        out->clear();
-        while (p != end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (p == end)
-                return fail("dangling escape");
-            c = *p++;
-            switch (c) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'b': *out += '\b'; break;
-              case 'f': *out += '\f'; break;
-              case 'n': *out += '\n'; break;
-              case 'r': *out += '\r'; break;
-              case 't': *out += '\t'; break;
-              case 'u': {
-                if (end - p < 4)
-                    return fail("short \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = *p++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // The writer only \u-escapes control characters, which
-                // fit one byte; anything wider degrades to '?'.
-                *out += v < 0x100 ? static_cast<char>(v) : '?';
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        if (p == end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(const std::string &path, int depth)
-    {
-        skipWs();
-        if (p == end)
-            return fail("unexpected end of input");
-        if (*p == '"') {
-            std::string s;
-            if (!parseString(&s))
-                return false;
-            strs[path] = std::move(s);
-            return true;
-        }
-        if (*p == '{') {
-            if (depth >= 2)
-                return fail("object nested too deep");
-            return parseObject(path + ".", depth + 1);
-        }
-        if (*p >= '0' && *p <= '9') {
-            std::uint64_t v = 0;
-            while (p != end && *p >= '0' && *p <= '9')
-                v = v * 10 + static_cast<std::uint64_t>(*p++ - '0');
-            nums[path] = v;
-            return true;
-        }
-        return fail("unsupported value type");
-    }
-
-    bool
-    parseObject(const std::string &prefix, int depth)
-    {
-        if (!expect('{'))
-            return false;
-        skipWs();
-        if (p != end && *p == '}') {
-            ++p;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(&key))
-                return false;
-            if (!expect(':'))
-                return false;
-            if (!parseValue(prefix + key, depth))
-                return false;
-            skipWs();
-            if (p != end && *p == ',') {
-                ++p;
-                continue;
-            }
-            return expect('}');
-        }
-    }
-
-    bool
-    parse(const std::string &json)
-    {
-        p = json.data();
-        end = json.data() + json.size();
-        if (!parseObject("", 0))
-            return false;
-        skipWs();
-        if (p != end)
-            return fail("trailing garbage after document");
-        return true;
-    }
-};
-
-} // namespace
-
 bool
 oracleKindFromName(const std::string &name, OracleKind *out)
 {
@@ -701,21 +513,32 @@ parseRepro(const std::string &json, ReproFile *out, std::string *err)
             *err = why;
         return false;
     };
-    MiniJson mj;
-    if (!mj.parse(json))
-        return bad("malformed repro JSON: " + mj.error);
+    core::JsonScalars doc;
+    std::string why;
+    if (!core::parseJson(json, &doc, &why))
+        return bad("malformed repro JSON: " + why);
 
-    const auto str = [&mj](const std::string &k) -> const std::string * {
-        const auto it = mj.strs.find(k);
-        return it == mj.strs.end() ? nullptr : &it->second;
+    // A field that is present must have the right type and range; the
+    // first one that does not is the error.
+    std::string field_error;
+    const auto num = [&](const std::string &path, auto *v) {
+        using T = std::remove_pointer_t<decltype(v)>;
+        const auto it = doc.values.find(path);
+        if (it == doc.values.end())
+            return;
+        if (it->second.kind == core::JsonScalar::Kind::Unsigned &&
+            it->second.value <= std::numeric_limits<T>::max()) {
+            *v = static_cast<T>(it->second.value);
+        } else if (field_error.empty()) {
+            field_error = path + " must be an unsigned integer below 2^" +
+                          std::to_string(8 * sizeof(T));
+        }
     };
-    const auto num = [&mj](const std::string &k,
-                           std::uint64_t *v) -> bool {
-        const auto it = mj.nums.find(k);
-        if (it == mj.nums.end())
-            return false;
-        *v = it->second;
-        return true;
+    const auto str = [&](const std::string &path) -> const std::string * {
+        const std::string *s = doc.stringAt(path);
+        if (!s && doc.has(path) && field_error.empty())
+            field_error = path + " must be a string";
+        return s;
     };
 
     const std::string *schema = str("schema");
@@ -723,47 +546,46 @@ parseRepro(const std::string &json, ReproFile *out, std::string *err)
         return bad("not a dbsim-fuzz-repro-v1 document");
 
     ReproFile r;
-    std::uint64_t v = 0;
-    if (!num("config_seed", &r.config_seed))
+    if (!doc.has("config_seed"))
         return bad("missing config_seed");
-    if (num("space.max_nodes", &v))
-        r.space.max_nodes = static_cast<std::uint32_t>(v);
-    if (num("space.min_instructions", &v))
-        r.space.min_instructions = v;
-    if (num("space.max_instructions", &v))
-        r.space.max_instructions = v;
+    num("config_seed", &r.config_seed);
+    num("space.max_nodes", &r.space.max_nodes);
+    num("space.min_instructions", &r.space.min_instructions);
+    num("space.max_instructions", &r.space.max_instructions);
     num("corrupt_checkpoint_offset", &r.corrupt_checkpoint_offset);
-    for (const auto &[path, value] : mj.nums) {
+    for (const auto &[path, value] : doc.values) {
         if (path.rfind("overrides.", 0) == 0)
-            r.overrides[path.substr(10)] = value;
+            num(path, &r.overrides[path.substr(10)]);
     }
     const std::string *oracle = str("oracle");
+    const std::string *bug = str("bug");
+    const std::string *fault = str("fault");
+    const std::string *sig = str("signature");
+    const std::string *detail = str("detail");
+    const std::string *cs = str("config_signature");
+    if (!field_error.empty())
+        return bad(field_error);
+
     if (!oracle || !oracleKindFromName(*oracle, &r.oracle))
         return bad("missing or unknown oracle");
-    if (const std::string *bug = str("bug")) {
-        if (!protocolBugFromName(*bug, &r.bug))
-            return bad("unknown bug name: " + *bug);
-    }
-    if (const std::string *fault = str("fault")) {
-        if (!artifactFaultFromName(*fault, &r.fault))
-            return bad("unknown fault name: " + *fault);
-    }
-    if (const std::string *sig = str("signature"))
+    if (bug && !protocolBugFromName(*bug, &r.bug))
+        return bad("unknown bug name: " + *bug);
+    if (fault && !artifactFaultFromName(*fault, &r.fault))
+        return bad("unknown fault name: " + *fault);
+    if (sig)
         r.signature = *sig;
-    if (const std::string *detail = str("detail"))
+    if (detail)
         r.detail = *detail;
-    if (const std::string *cs = str("config_signature")) {
-        // "0x" + 16 hex digits; tolerate absence (informational field).
-        std::uint64_t h = 0;
-        for (std::size_t i = 2; i < cs->size(); ++i) {
-            const char c = (*cs)[i];
-            h <<= 4;
-            if (c >= '0' && c <= '9')
-                h |= static_cast<std::uint64_t>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                h |= static_cast<std::uint64_t>(c - 'a' + 10);
+    if (cs) {
+        // "0x" + exactly 16 hex digits; absence is tolerated (the field
+        // is informational).
+        const char *end = cs->data() + cs->size();
+        if (cs->size() != 18 || cs->rfind("0x", 0) != 0 ||
+            std::from_chars(cs->data() + 2, end, r.config_signature, 16)
+                    .ptr != end) {
+            return bad("config_signature wants 0x and 16 hex digits, "
+                       "got \"" + *cs + "\"");
         }
-        r.config_signature = h;
     }
     *out = std::move(r);
     return true;

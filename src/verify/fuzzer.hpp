@@ -126,8 +126,8 @@ struct FuzzReport
 FuzzCaseResult runFuzzCase(const FuzzOptions &opts, std::uint32_t index);
 
 /**
- * Run the whole campaign across opts.jobs worker threads (atomic case
- * dispatch; results land by index).  @p log, when non-null, receives
+ * Run the whole campaign across opts.jobs worker threads
+ * (core::forEachIndex; results land by index).  @p log, when non-null, receives
  * one progress line per failure and a summary (never stdout -- the
  * caller owns the stream).
  */
@@ -189,8 +189,10 @@ std::string renderRepro(const ReproFile &r);
 /** "repro-<16-hex-fnv>.json" -- content-addressed, collision-stable. */
 std::string reproFileName(const ReproFile &r);
 
-/** Parse a renderRepro() document (tiny strict subset parser).
- *  Returns false with *err set on malformed input. */
+/** Parse a renderRepro() document through core::parseJson().  Returns
+ *  false with *err set on malformed JSON, a field of the wrong type or
+ *  range (an overflowing config_seed, a config_signature that is not
+ *  0x plus 16 hex digits), or an unknown oracle/bug/fault name. */
 bool parseRepro(const std::string &json, ReproFile *out, std::string *err);
 
 /** Regenerate the repro's config: seed -> randomSimConfig -> overrides

@@ -329,9 +329,12 @@ TEST(SweepJournalTest, RoundTripAndTornLineTolerance)
     EXPECT_EQ(ok, 2u);
     EXPECT_EQ(failed, 1u);
 
-    // A mid-write kill leaves a torn final line: loader skips it.
+    // A mid-write kill leaves a torn final line, and a corrupted line
+    // can keep its brackets balanced: the loader skips both.
     {
         std::ofstream os(path, std::ios::app);
+        os << "{\"section\":\"sec\",\"label\":\"i8\",\"status\":\"ok\","
+              "\"cycles\":12x34}\n";
         os << "{\"section\":\"sec\",\"label\":\"i9\",\"status\":\"o";
     }
     EXPECT_EQ(SweepJournal::load(path).size(), 3u);
@@ -489,12 +492,20 @@ TEST(BenchHarness, InterruptedThenResumedReportIsFieldExact)
         ASSERT_EQ(ctx.finish(), 0);
     }
 
-    { // "Interrupt": keep one journal line plus a torn fragment.
+    { // "Interrupt": keep one journal line plus a torn fragment, and
+      // corrupt the line of an item not yet run without unbalancing its
+      // brackets -- it must re-run, not be spliced into the report.
         std::ifstream in(clean_journal);
         std::ofstream out(torn_journal, std::ios::trunc);
-        std::string line;
+        std::string line, corrupt;
         ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
-        out << line << "\n{\"section\":\"s\",\"label\":\"i1\",\"sta";
+        ASSERT_TRUE(static_cast<bool>(std::getline(in, corrupt)));
+        ASSERT_TRUE(static_cast<bool>(std::getline(in, corrupt)));
+        const std::size_t at = corrupt.find("\"cycles\":");
+        ASSERT_NE(at, std::string::npos);
+        corrupt.insert(at + 9, "12x");
+        out << line << "\n"
+            << corrupt << "\n{\"section\":\"s\",\"label\":\"i1\",\"sta";
     }
 
     { // Resume from the torn journal.

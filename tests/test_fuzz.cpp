@@ -111,6 +111,15 @@ TEST(ConfigGen, SignatureIgnoresObservationKnobsOnly)
     ASSERT_TRUE(core::applyConfigOverride(sem, "total_instructions",
                                           cfg.total_instructions + 1000));
     EXPECT_NE(core::simConfigSignature(sem), sig);
+
+    // Branch-predictor and functional-unit knobs change what the core
+    // does, so they are part of the signature.
+    SimConfig bp = cfg;
+    bp.system.core.bp.perfect = !bp.system.core.bp.perfect;
+    EXPECT_NE(core::simConfigSignature(bp), sig) << "core.bp.perfect";
+    SimConfig fu = cfg;
+    fu.system.core.fu.int_alus += 1;
+    EXPECT_NE(core::simConfigSignature(fu), sig) << "core.fu.int_alus";
 }
 
 TEST(ConfigGen, EveryCatalogKeyAppliesAndUnknownKeyIsRejected)
@@ -479,6 +488,31 @@ TEST(Repro, ParserRejectsGarbage)
     EXPECT_FALSE(
         parseRepro("{\"schema\":\"dbsim-fuzz-repro-v1\"}", &rf, &err))
         << "config_seed is mandatory";
+
+    // Start from a valid document and break one thing at a time.
+    ReproFile good;
+    good.config_seed = 5;
+    const std::string body = renderRepro(good);
+    ASSERT_TRUE(parseRepro(body, &rf, &err)) << err;
+    const auto with = [&body](const std::string &from,
+                              const std::string &to) {
+        std::string b = body;
+        const std::size_t at = b.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? b : b.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(parseRepro(with("\"config_seed\": 5",
+                                 "\"config_seed\": 18446744073709551617"),
+                            &rf, &err))
+        << "an overflowing seed must not wrap";
+    EXPECT_NE(err.find("does not fit"), std::string::npos) << err;
+    EXPECT_FALSE(parseRepro(with("\"config_signature\": \"0x",
+                                 "\"config_signature\": \"0xZZ"),
+                            &rf, &err));
+    EXPECT_NE(err.find("config_signature"), std::string::npos) << err;
+    EXPECT_FALSE(parseRepro(body + "{}", &rf, &err))
+        << "trailing bytes after the document";
+    EXPECT_NE(err.find("trailing"), std::string::npos) << err;
 }
 
 TEST(Shrink, SeededFaultShrinksTowardMinimalConfig)

@@ -12,13 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "core/json_writer.hpp"
 #include "core/sweep.hpp"
 #include "cpu/inorder_core.hpp"
+#include "verify/fuzzer.hpp"
 
 namespace dbsim::core {
 namespace {
@@ -125,6 +133,88 @@ TEST(JsonWriter, RejectsStructuralMisuse)
     }
 }
 
+TEST(JsonReader, ReadsBackEveryRenderedDocumentStrictly)
+{
+    // Every kind of document dbsim renders parses, and a string full of
+    // escapes comes back byte-exact.
+    const std::string nasty = "ctl\x01\x1f\ttab \"q\" \\ \xc4\x80 end";
+    SweepItemOutcome ok;
+    ok.result.label = nasty;
+    SweepItemOutcome failed;
+    failed.status = SweepItemOutcome::Status::Failed;
+    failed.failure.what = nasty;
+    verify::ReproFile rf;
+    rf.config_seed = std::numeric_limits<std::uint64_t>::max();
+    rf.overrides["num_nodes"] = 1;
+    rf.detail = nasty;
+    verify::FuzzReport rep;
+    rep.count = 1;
+    rep.failed_cases = 1;
+    rep.cases.resize(1);
+    verify::OracleVerdict v;
+    v.ok = false;
+    v.signature = "sig";
+    v.detail = nasty;
+    rep.cases[0].failures.push_back(v);
+    rep.cases[0].shrink_overrides["num_nodes"] = 1;
+    rep.buckets.push_back({"sig", 1, 0, nasty, ""});
+
+    const std::vector<std::pair<std::string, std::string>> docs = {
+        {renderSweepEntryJson(nasty, ok), "label"},
+        {renderSweepEntryJson("s", failed), "error.what"},
+        {verify::renderRepro(rf), "detail"},
+        {verify::renderFuzzReport(verify::FuzzOptions{}, rep),
+         "failures.0.detail"},
+    };
+    for (const auto &[doc, path] : docs) {
+        JsonScalars parsed;
+        std::string err;
+        ASSERT_TRUE(parseJson(doc, &parsed, &err)) << err << "\n" << doc;
+        ASSERT_NE(parsed.stringAt(path), nullptr) << path << " in " << doc;
+        EXPECT_EQ(*parsed.stringAt(path), nasty);
+    }
+    JsonScalars repro;
+    ASSERT_TRUE(parseJson(verify::renderRepro(rf), &repro));
+    EXPECT_EQ(repro.values.at("config_seed").value, rf.config_seed);
+    EXPECT_EQ(repro.values.at("overrides.num_nodes").value, 1u);
+
+    // Every escape decodes, \uXXXX to UTF-8 (surrogate pairs too), and
+    // re-escaping the decoded text reads back the same bytes.
+    JsonScalars d;
+    ASSERT_TRUE(parseJson(R"({"s":"\u0100\u00e9\ud83d\ude00\/\b\f\n\r\t\"\\",)"
+                          R"("n":[0,-1.5e3,true,null]})",
+                          &d));
+    const std::string decoded =
+        "\xc4\x80\xc3\xa9\xf0\x9f\x98\x80/\b\f\n\r\t\"\\";
+    EXPECT_EQ(*d.stringAt("s"), decoded);
+    JsonScalars again;
+    ASSERT_TRUE(parseJson("\"" + jsonEscape(decoded) + "\"", &again));
+    EXPECT_EQ(*again.stringAt(""), decoded);
+    EXPECT_EQ(d.values.at("n.0").kind, JsonScalar::Kind::Unsigned);
+    EXPECT_EQ(d.values.at("n.1").kind, JsonScalar::Kind::Number);
+    EXPECT_EQ(d.values.at("n.2").kind, JsonScalar::Kind::Bool);
+    EXPECT_EQ(d.values.at("n.3").kind, JsonScalar::Kind::Null);
+
+    // The depth bound, u64 overflow and malformed input are errors that
+    // name the byte offset.
+    const std::string deepest = std::string(kJsonMaxDepth, '[') +
+                                std::string(kJsonMaxDepth, ']');
+    EXPECT_TRUE(parseJson(deepest, &d));
+    std::string err;
+    EXPECT_FALSE(parseJson("[" + deepest + "]", &d, &err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+    EXPECT_TRUE(parseJson("18446744073709551615", &d));
+    EXPECT_FALSE(parseJson(R"({"n":18446744073709551616})", &d, &err));
+    EXPECT_NE(err.find("byte 5"), std::string::npos) << err;
+    for (const char *bad :
+         {"", "{} x", R"({"a":1,})", R"({"a":01})", "[1 2]", R"("\u00zz")",
+          R"("\ud800")", R"({"a":1,"a":2})", "\"raw\nnewline\"", "{a:1}",
+          "nul", "-", "1.", R"({"cycles":12x34})"}) {
+        EXPECT_FALSE(parseJson(bad, &d, &err)) << bad;
+        EXPECT_EQ(err.rfind("byte ", 0), 0u) << err;
+    }
+}
+
 // ---------------------------------------------------------------------
 // SweepRunner
 // ---------------------------------------------------------------------
@@ -179,6 +269,22 @@ expectOccupancyEq(const stats::OccupancyTracker &a,
     EXPECT_EQ(a.busyTime(), b.busyTime());
     for (std::uint32_t n = 1; n <= 8; ++n)
         EXPECT_EQ(a.fracAtLeast(n), b.fracAtLeast(n)) << "n=" << n;
+}
+
+TEST(ForEachIndex, VisitsEachIndexOnceAndRethrowsAfterJoin)
+{
+    for (const unsigned jobs : {0u, 1u, 4u}) {
+        std::vector<std::atomic<int>> hits(37);
+        forEachIndex(hits.size(), jobs, [&](std::size_t i) { ++hits[i]; });
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1) << "jobs " << jobs;
+        EXPECT_THROW(forEachIndex(hits.size(), jobs,
+                                  [](std::size_t i) {
+                                      if (i == 5)
+                                          throw std::runtime_error("x");
+                                  }),
+                     std::runtime_error);
+    }
 }
 
 TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
@@ -300,8 +406,15 @@ TEST(SweepRunner, ResolveJobsPrecedence)
     EXPECT_EQ(SweepRunner::resolveJobs(0), 3u);
     EXPECT_EQ(SweepRunner::resolveJobs(2), 2u); // CLI wins over env
 
-    ASSERT_EQ(setenv("DBSIM_JOBS", "banana", 1), 0);
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u); // warn + fall back
+    // Not a positive decimal integer: warn + fall back.
+    const unsigned fallback = std::min(
+        std::max(std::thread::hardware_concurrency(), 1u),
+        SweepRunner::kMaxJobs);
+    for (const char *bad : {"banana", "-3", "12abc", "0", " 3"}) {
+        ASSERT_EQ(setenv("DBSIM_JOBS", bad, 1), 0);
+        EXPECT_EQ(SweepRunner::resolveJobs(0), fallback)
+            << "DBSIM_JOBS=\"" << bad << "\"";
+    }
 
     ASSERT_EQ(unsetenv("DBSIM_JOBS"), 0);
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
@@ -310,35 +423,6 @@ TEST(SweepRunner, ResolveJobsPrecedence)
 // ---------------------------------------------------------------------
 // JSON report
 // ---------------------------------------------------------------------
-
-/** Brace/bracket balance outside string literals -- a cheap structural
- *  validity check in lieu of a JSON parser. */
-bool
-balancedJson(const std::string &s)
-{
-    int depth = 0;
-    bool in_string = false, escaped = false;
-    for (const char c : s) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
-    }
-    return depth == 0 && !in_string;
-}
 
 TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
 {
@@ -356,7 +440,11 @@ TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
     writeSweepJson(os, report);
     const std::string doc = os.str();
 
-    EXPECT_TRUE(balancedJson(doc)) << doc;
+    JsonScalars parsed;
+    std::string err;
+    ASSERT_TRUE(parseJson(doc, &parsed, &err)) << err << "\n" << doc;
+    ASSERT_NE(parsed.stringAt("results.1.label"), nullptr);
+    EXPECT_EQ(*parsed.stringAt("results.1.label"), "r1");
     EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v2\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"bench\": \"test_bench\""), std::string::npos);

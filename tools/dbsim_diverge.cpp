@@ -36,6 +36,7 @@
 
 #include "common/errors.hpp"
 #include "common/mutator.hpp"
+#include "common/parse.hpp"
 #include "core/config.hpp"
 #include "verify/oracles.hpp"
 
@@ -97,30 +98,28 @@ main(int argc, char **argv)
                 workload = value();
             else if (arg == "--nodes")
                 nodes = static_cast<std::uint32_t>(
-                    std::stoul(value()));
+                    parseUnsignedFlag(arg, value(), 1, 0xffffffffu));
             else if (arg == "--b-bug") {
                 const std::string name = value();
                 if (!verify::protocolBugFromName(name, &bug))
                     throw ConfigError("cli.bug", "unknown protocol bug \"" +
                                                      name + "\"");
             } else if (arg == "--instructions")
-                instructions = std::stoull(value());
+                instructions = parseUnsignedFlag(arg, value());
             else if (arg == "--epoch-interval")
-                epoch_interval = std::stoull(value());
+                epoch_interval = parseUnsignedFlag(arg, value(), 1);
             else if (arg == "--dump-prefix")
                 dump_prefix = value();
             else
                 throw ConfigError("cli", "unknown flag " + arg);
         }
-        if (epoch_interval == 0)
-            throw ConfigError("cli.epoch-interval",
-                              "--epoch-interval must be nonzero");
 
         core::SimConfig cfg =
             core::makeScaledConfig(parseWorkloadName(workload), nodes);
         cfg.total_instructions = instructions;
         cfg.warmup_instructions = 0;
         cfg.system.state_hash_interval = epoch_interval;
+        cfg.validate(); // a bad flag is exit 2, not a "divergence"
 
         const verify::Engine a, b(bug);
         std::cout << "dbsim-diverge\n  A: " << describe(cfg)

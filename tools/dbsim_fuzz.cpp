@@ -13,6 +13,10 @@
  *   dbsim-fuzz --replay repros/repro-0123456789abcdef.json
  *   dbsim-fuzz --self-check
  *
+ * --jobs follows the benches' rule (core::SweepRunner::resolveJobs): a
+ * positive --jobs, else DBSIM_JOBS, else the hardware concurrency.  The
+ * report is the same at every job count.
+ *
  * Exit codes: 0 = corpus clean (or replay no longer reproduces),
  * 1 = failures found (or replay reproduced), 2 = bad flags / IO error.
  *
@@ -30,9 +34,13 @@
 #include <string>
 
 #include "common/errors.hpp"
+#include "common/parse.hpp"
+#include "core/sweep.hpp"
 #include "verify/fuzzer.hpp"
 
 namespace {
+
+constexpr std::uint64_t kMaxU32 = 0xffffffffu;
 
 int
 usageError(const std::string &msg)
@@ -42,9 +50,7 @@ usageError(const std::string &msg)
               << "                  [--json FILE] [--repro-dir DIR]\n"
               << "                  [--scratch-dir DIR] [--max-nodes N]\n"
               << "                  [--min-instructions N]\n"
-              << "                  [--max-instructions N] [--no-shrink]\n"
-              << "                  [--no-conservation] [--no-determinism]\n"
-              << "                  [--no-checkpoint] [--no-coherence]\n"
+              << "                  [--max-instructions N]\n"
               << "                  [--inject-bug NAME]\n"
               << "                  [--inject-fault NAME]\n"
               << "                  [--corrupt-checkpoint OFFSET]\n"
@@ -72,6 +78,7 @@ main(int argc, char **argv)
         std::string json_path;
         std::string replay_path;
         bool self_check = false;
+        unsigned jobs = 0; // 0 = DBSIM_JOBS, then hardware concurrency
 
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -81,13 +88,13 @@ main(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--seed")
-                opts.seed = std::stoull(value());
+                opts.seed = parseUnsignedFlag(arg, value());
             else if (arg == "--count")
-                opts.count =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                opts.count = static_cast<std::uint32_t>(
+                    parseUnsignedFlag(arg, value(), 0, kMaxU32));
             else if (arg == "--jobs")
-                opts.jobs =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                jobs = static_cast<unsigned>(
+                    parseUnsignedFlag(arg, value(), 1, kMaxU32));
             else if (arg == "--json")
                 json_path = value();
             else if (arg == "--repro-dir")
@@ -95,22 +102,12 @@ main(int argc, char **argv)
             else if (arg == "--scratch-dir")
                 opts.scratch_dir = value();
             else if (arg == "--max-nodes")
-                opts.space.max_nodes =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                opts.space.max_nodes = static_cast<std::uint32_t>(
+                    parseUnsignedFlag(arg, value(), 0, kMaxU32));
             else if (arg == "--min-instructions")
-                opts.space.min_instructions = std::stoull(value());
+                opts.space.min_instructions = parseUnsignedFlag(arg, value());
             else if (arg == "--max-instructions")
-                opts.space.max_instructions = std::stoull(value());
-            else if (arg == "--no-shrink")
-                opts.shrink = false;
-            else if (arg == "--no-conservation")
-                opts.oracle_conservation = false;
-            else if (arg == "--no-determinism")
-                opts.oracle_determinism = false;
-            else if (arg == "--no-checkpoint")
-                opts.oracle_checkpoint = false;
-            else if (arg == "--no-coherence")
-                opts.oracle_coherence = false;
+                opts.space.max_instructions = parseUnsignedFlag(arg, value());
             else if (arg == "--inject-bug") {
                 const std::string name = value();
                 if (!protocolBugFromName(name, &opts.inject_bug))
@@ -122,7 +119,8 @@ main(int argc, char **argv)
                     throw ConfigError("cli.inject-fault",
                                       "unknown fault name " + name);
             } else if (arg == "--corrupt-checkpoint")
-                opts.corrupt_checkpoint_offset = std::stoull(value());
+                opts.corrupt_checkpoint_offset =
+                    parseUnsignedFlag(arg, value());
             else if (arg == "--replay")
                 replay_path = value();
             else if (arg == "--self-check")
@@ -176,6 +174,7 @@ main(int argc, char **argv)
             return usageError("cannot create repro dir " +
                               opts.repro_dir + ": " + ec.message());
 
+        opts.jobs = core::SweepRunner::resolveJobs(jobs);
         std::cerr << "dbsim-fuzz: seed " << opts.seed << ", "
                   << opts.count << " configs, jobs " << opts.jobs
                   << "\n";

@@ -1,10 +1,10 @@
 #include "common/log.hpp"
 
 #include <atomic>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,18 +17,21 @@ namespace {
 struct DumpEntry
 {
     int handle;
+    std::thread::id owner; ///< the thread that registered the dump
     std::string name;
     std::function<std::string()> fn;
 };
 
 /**
- * The crash-dump registry as a class with a machine-checked sharing
- * contract (DESIGN.md §5j).  The sweep runner constructs and destroys
- * Systems from worker threads, and each System registers a crash dump
- * around its lifetime, so every entry-list touch holds mu_.  Dump
- * callbacks themselves are invoked under the lock: they only run on the
- * (rare) panic path, and holding the lock keeps a concurrently
- * destructing System from invalidating the entry being executed.
+ * The process-wide crash-dump registry.  The sweep runner constructs
+ * and destroys Systems from worker threads, and each System registers a
+ * crash dump around its lifetime, so every entry-list touch holds mu_.
+ *
+ * A panic dumps only the entries its own thread registered: another
+ * worker's System is live and mutating on that worker, so reading it
+ * would race, and its half-run state does not belong in this failure's
+ * dump.  The dump callbacks run under the lock, which keeps an entry
+ * from being removed mid-call.
  */
 class CrashDumpRegistry
 {
@@ -45,7 +48,8 @@ class CrashDumpRegistry
     {
         std::lock_guard<std::mutex> lock(mu_);
         const int h = next_handle_++;
-        entries_.push_back({h, std::move(name), std::move(fn)});
+        entries_.push_back(
+            {h, std::this_thread::get_id(), std::move(name), std::move(fn)});
         return h;
     }
 
@@ -61,7 +65,7 @@ class CrashDumpRegistry
         }
     }
 
-    /** Run every registered dump; returns the concatenated text. */
+    /** Run the calling thread's dumps; returns the concatenated text. */
     std::string
     runAll()
     {
@@ -76,6 +80,8 @@ class CrashDumpRegistry
         {
             std::lock_guard<std::mutex> lock(mu_);
             for (const auto &d : entries_) {
+                if (d.owner != std::this_thread::get_id())
+                    continue;
                 all += "=== crash dump: " + d.name + " ===\n";
                 try {
                     all += d.fn();
@@ -100,17 +106,15 @@ class CrashDumpRegistry
     CrashDumpRegistry() = default;
 
     std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::vector<DumpEntry> entries_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     int next_handle_ = 1;
 };
 
 /**
  * Serialized stderr sink: concurrent warnings and panic reports from
  * sweep worker threads emit whole lines, never interleaved fragments.
- * The stream itself is guarded; the emitted-line counter is a relaxed
- * atomic so diagnostics can read it without the lock.
  */
 class LogSink
 {
@@ -129,23 +133,14 @@ class LogSink
         std::lock_guard<std::mutex> lock(mu_);
         out_ << text;
         out_.flush();
-        lines_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    linesWritten() const
-    {
-        return lines_.load(std::memory_order_relaxed);
     }
 
   private:
     LogSink() = default;
 
     std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::ostream &out_ = std::cerr;
-    // dbsim-analyze: atomic
-    std::atomic<std::uint64_t> lines_{0};
 };
 
 std::atomic<PanicBehavior> g_panic_behavior{PanicBehavior::Abort};

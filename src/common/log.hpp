@@ -38,6 +38,7 @@ PanicBehavior panicBehavior();
 
 /**
  * Register a callback producing a diagnostic dump to emit on panic.
+ * Only a panic on the registering thread runs it.
  * @param name  heading printed above the dump text
  * @param fn    returns the dump; exceptions it throws are swallowed
  * @return a handle for unregisterCrashDump()

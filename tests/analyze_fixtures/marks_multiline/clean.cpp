@@ -1,16 +1,28 @@
-// Clean twin for the placement rule: a mark AFTER the terminating ';'
-// binds forward only (the statement is closed), so it does NOT cover
-// the preceding declaration and the unlocked write is not a guarded
-// access.
-#include <mutex>
+// Clean twin: a cold() mark inside a still-open multi-line parameter
+// list binds backward to the function-name line as well as forward, so
+// the helper is cold and its allocation is off the tick path.
+#include <vector>
 
-class Tally
+class Node
 {
   public:
-    void bump() { count_ += 1; }
-
-  private:
-    std::mutex mu_;
-    unsigned long long count_ = 0;
-    // dbsim-analyze: guarded_by(mu_)
+    bool dataAccess(unsigned long long addr);
 };
+
+int rebuild(int n,
+            int m);
+
+bool
+Node::dataAccess(unsigned long long addr)
+{
+    return rebuild(2, 3) != 0 && addr != 0;
+}
+
+int
+rebuild(int n,
+        // dbsim-analyze: cold(once per report, off the measured path)
+        int m)
+{
+    std::vector<int> scratch(n + m);
+    return static_cast<int>(scratch.size());
+}

@@ -18,6 +18,7 @@
 #include "analyze.hpp"
 #include "callgraph.hpp"
 #include "decls.hpp"
+#include "lexer.hpp"
 
 namespace {
 
@@ -96,6 +97,8 @@ const SeededCase kSeeded[] = {
     {"hotpath_tick", "hotpath-string", "bad.cpp", 1},
     // drains is updated only off the tick path
     {"accounting_reach", "accounting-counter-reachability", "bad.cpp", 1},
+    // a cold() mark after the closing brace leaves the helper hot
+    {"marks_multiline", "hotpath-allocation", "bad.cpp", 1},
 };
 
 TEST(Analyze, EveryRuleCatchesItsSeededViolation)
@@ -127,6 +130,35 @@ TEST(Analyze, CleanTwinsPassUnderAllRules)
                 << f.file << ":" << f.line << " [" << f.rule << "] "
                 << f.message;
     }
+}
+
+TEST(Analyze, MultilineMarkPairingCoversTheOpenDeclaration)
+{
+    // clean.cpp: a cold() mark inside a still-open multi-line parameter
+    // list attaches backward, so the helper is cold and its allocation
+    // is not reported; bad.cpp: a mark after the closing brace binds
+    // forward only and leaves the helper on the tick path.
+    const Result r = analyze("marks_multiline");
+    ASSERT_EQ(r.findings.size(), 1u);
+    EXPECT_EQ(r.findings[0].rule, "hotpath-allocation");
+    EXPECT_EQ(r.findings[0].file, "bad.cpp");
+
+    // At the lexer level the mark (between `rebuild(int n,` and
+    // `int m)`) lands on both the name line and the next code line.
+    std::ifstream in(fixture("marks_multiline") + "/clean.cpp");
+    std::stringstream text;
+    text << in.rdbuf();
+    const dbsim::analyze::SourceFile sf =
+        dbsim::analyze::lexSource("clean.cpp", text.str());
+    int name_line = 0, next_line = 0;
+    for (std::size_t i = 0; i + 5 < sf.tokens.size(); ++i)
+        if (sf.tokens[i].text == "rebuild" && sf.tokens[i + 1].text == "(") {
+            name_line = sf.tokens[i].line;
+            next_line = sf.tokens[i + 5].line; // `int` of `int m)`
+        }
+    ASSERT_GT(next_line, name_line + 1) << "the mark sits between them";
+    EXPECT_EQ(sf.cold_marks.count(name_line), 1u) << "backward bind";
+    EXPECT_EQ(sf.cold_marks.count(next_line), 1u) << "forward bind";
 }
 
 TEST(Analyze, SingleRuleFilteringIsolatesFamilies)
@@ -257,7 +289,7 @@ TEST(Analyze, SarifHasThe210Shape)
 TEST(Analyze, RuleCatalogIsConsistent)
 {
     const auto &catalog = dbsim::analyze::ruleCatalog();
-    EXPECT_EQ(catalog.size(), 22u);
+    EXPECT_EQ(catalog.size(), 18u);
     for (const RuleInfo &r : catalog) {
         EXPECT_TRUE(dbsim::analyze::knownRule(r.id));
         EXPECT_FALSE(std::string(r.description).empty());

@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for common utilities: types helpers, deterministic RNG,
- * histograms and occupancy trackers.
+ * histograms, occupancy trackers and the serialized warning sink.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -211,6 +217,59 @@ TEST(OccupancyTracker, ResetClears)
 TEST(Log, FatalThrows)
 {
     EXPECT_THROW(DBSIM_FATAL("bad config ", 42), std::runtime_error);
+}
+
+/**
+ * Warnings from parallel threads must come out as whole lines, and the
+ * sink's lock is what guarantees it.  std::cerr normally writes each
+ * line with one locked fwrite, which hides a missing lock, so the test
+ * points std::cerr at a plain string buffer: without the lock the
+ * threads race on that buffer (ThreadSanitizer reports it) and lines
+ * tear.  Every captured line must be exactly one of the warnings.
+ */
+TEST(LogSink, ParallelWarningsLandAsWholeLines)
+{
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 200;
+    const std::string payload(120, 'x');
+    auto message = [&](int t, int i) {
+        return "parallel warning t" + std::to_string(t) + " #" +
+               std::to_string(i) + " " + payload;
+    };
+
+    const int warn_line = __LINE__ + 1;
+    auto warn = [&](int t, int i) { DBSIM_WARN(message(t, i)); };
+
+    std::stringbuf captured_buf;
+    std::streambuf *const stderr_buf = std::cerr.rdbuf(&captured_buf);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                warn(t, i);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    std::cerr.rdbuf(stderr_buf);
+    const std::string captured = captured_buf.str();
+
+    std::vector<std::string> expected;
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kPerThread; ++i)
+            expected.push_back("warn: " + message(t, i) + " (" + __FILE__ +
+                               ":" + std::to_string(warn_line) + ")");
+    std::vector<std::string> lines;
+    std::istringstream in(captured);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_FALSE(captured.empty());
+    EXPECT_EQ(captured.back(), '\n');
+    std::sort(expected.begin(), expected.end());
+    std::sort(lines.begin(), lines.end());
+    EXPECT_TRUE(lines == expected)
+        << lines.size() << " lines captured for " << expected.size()
+        << " warnings; some lines are torn or interleaved";
 }
 
 TEST(Stats, PctFormatting)

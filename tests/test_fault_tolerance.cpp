@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,9 @@ TEST(SweepFaultTolerance, AbortModeRunCarriesLegacySemantics)
     EXPECT_THROW(runner.run(items), ConfigError);
 }
 
+/** The deadline must let the undelayed item finish even in a sanitizer
+ *  build (a quick item takes well under a second under ASan or TSan), and
+ *  the delay must outlast the deadline. */
 TEST(SweepFaultTolerance, DelayedItemBecomesTimeoutWithMachineDump)
 {
     auto items = okItems(2);
@@ -223,12 +227,12 @@ TEST(SweepFaultTolerance, DelayedItemBecomesTimeoutWithMachineDump)
     delay.index = 1;
     delay.attempt = 1;
     delay.kind = FaultSpec::Kind::Delay;
-    delay.delay_seconds = 0.5;
+    delay.delay_seconds = 4.5;
     plan.add(delay);
 
     SweepRunner runner(2);
     runner.setFailurePolicy(FailurePolicy::collect());
-    runner.setItemTimeout(0.2);
+    runner.setItemTimeout(4.0);
     runner.setFaultPlan(&plan);
     const SweepOutcome out = runner.runChecked(items);
 
@@ -350,6 +354,42 @@ TEST(SweepJournalTest, RoundTripAndTornLineTolerance)
         EXPECT_TRUE(matched) << "journal line is not a report entry: "
                              << e.raw;
     }
+    std::remove(path.c_str());
+}
+
+/**
+ * Appends from parallel workers must land as whole lines.  A sweep
+ * appends under its collector's lock, so this drives the journal's own
+ * lock directly from the worker pool.  The stream's buffer lives in
+ * uninstrumented libstdc++, so ThreadSanitizer does not see the lock
+ * go; the line count is what makes torn lines show up without it.
+ */
+TEST(SweepJournalTest, ParallelAppendsLandAsWholeLines)
+{
+    const std::string path = "TEST_FT_parallel.journal.jsonl";
+    constexpr std::size_t kLines = 40000;
+    const std::string pad(20, 'x');
+    auto line = [&](std::size_t i) {
+        return "{\"section\":\"par\",\"label\":\"i" + std::to_string(i) +
+               "\",\"status\":\"ok\",\"pad\":\"" + pad + "\"}";
+    };
+
+    SweepJournal journal;
+    ASSERT_TRUE(journal.open(path, /*append=*/false));
+    forEachIndex(kLines, 8,
+                 [&](std::size_t i) { journal.appendRaw(line(i)); });
+    journal.close();
+
+    std::map<std::string, std::string> expected;
+    for (std::size_t i = 0; i < kLines; ++i)
+        expected["i" + std::to_string(i)] = line(i);
+    for (const auto &e : SweepJournal::load(path)) {
+        const auto it = expected.find(e.label);
+        ASSERT_NE(it, expected.end()) << "unexpected or repeated " << e.raw;
+        EXPECT_EQ(e.raw, it->second);
+        expected.erase(it);
+    }
+    EXPECT_TRUE(expected.empty()) << expected.size() << " lines lost";
     std::remove(path.c_str());
 }
 

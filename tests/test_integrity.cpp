@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
@@ -488,28 +491,64 @@ TEST(CoherenceChecker, PanickingModeThrowsUnderGuard)
 // Hardened panic path
 // ---------------------------------------------------------------------
 
+/** DBSIM_PANIC under the caller's PanicThrowGuard; the thrown text. */
+template <typename... Args>
+std::string
+panicMessage(const Args &...args)
+{
+    try {
+        DBSIM_PANIC(args...);
+    } catch (const SimInvariantError &e) {
+        return e.what();
+    }
+}
+
 TEST(PanicPath, CrashDumpsRunBeforeThrow)
 {
     const int h = registerCrashDump(
         "integrity test", [] { return std::string("MARKER_FROM_DUMP"); });
+
+    // A second thread registers its own dump and stays blocked while
+    // this thread panics.  That dump describes the other thread's live
+    // machine, so this panic must not run it.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool registered = false, release = false;
+    std::thread other([&] {
+        const int oh = registerCrashDump("other thread", [] {
+            return std::string("MARKER_FROM_OTHER_THREAD");
+        });
+        std::unique_lock<std::mutex> lock(mu);
+        registered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        unregisterCrashDump(oh);
+    });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return registered; });
+    }
+
     PanicThrowGuard guard;
-    try {
-        DBSIM_PANIC("synthetic failure ", 42);
-        FAIL() << "expected SimInvariantError";
-    } catch (const SimInvariantError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("synthetic failure 42"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("crash dump: integrity test"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("MARKER_FROM_DUMP"), std::string::npos) << msg;
+    const std::string msg = panicMessage("synthetic failure ", 42);
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        release = true;
     }
+    cv.notify_all();
+    other.join();
+
+    EXPECT_NE(msg.find("synthetic failure 42"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("crash dump: integrity test"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("MARKER_FROM_DUMP"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("MARKER_FROM_OTHER_THREAD"), std::string::npos)
+        << "another thread's dump ran in this panic:\n"
+        << msg;
+
     unregisterCrashDump(h);
-    try {
-        DBSIM_PANIC("second failure");
-    } catch (const SimInvariantError &e) {
-        EXPECT_EQ(std::string(e.what()).find("MARKER_FROM_DUMP"),
-                  std::string::npos);
-    }
+    EXPECT_EQ(panicMessage("second failure").find("MARKER_FROM_DUMP"),
+              std::string::npos);
 }
 
 TEST(PanicPath, ThrowGuardRestoresAbortBehavior)

@@ -35,9 +35,6 @@ families()
         {runHotpathRules,
          {kRuleHotpathAlloc, kRuleHotpathMapLookup, kRuleHotpathVirtual,
           kRuleHotpathString}},
-        {runSyncRules,
-         {kRuleSyncGuarded, kRuleSyncRequires, kRuleSyncLockOrder,
-          kRuleSyncAtomicRmw}},
     };
     return kFamilies;
 }
@@ -143,20 +140,6 @@ ruleCatalog()
         {kRuleHotpathString, "hotpath",
          "No string construction/formatting on the tick path; move it "
          "behind a cold(<reason>) boundary."},
-        {kRuleSyncGuarded, "sync",
-         "Every read/write of a guarded_by(<mutex>) field needs the "
-         "mutex in the effective lockset, and phase-confined fields may "
-         "only be touched from that phase (DESIGN.md §5j)."},
-        {kRuleSyncRequires, "sync",
-         "A caller must hold every mutex a callee declares with "
-         "// dbsim-analyze: requires(<mutex>)."},
-        {kRuleSyncLockOrder, "sync",
-         "The global lock-acquisition-order graph must be acyclic, and "
-         "no non-recursive mutex may be re-acquired while held -- the "
-         "static deadlock guard for the threaded sweep harness."},
-        {kRuleSyncAtomicRmw, "sync",
-         "Fields marked atomic must be std::atomic and updated with "
-         "single atomic RMW operations, not load-modify-store."},
     };
     return kCatalog;
 }
@@ -196,9 +179,7 @@ runAnalysis(const Options &opt, Result &out, std::string &error)
     buildDecls(corpus, decls);
     CallGraph graph;
     buildCallGraph(corpus, decls, graph);
-    SyncIndex sync;
-    buildSyncIndex(corpus, decls, graph, sync);
-    const PassContext ctx{corpus, decls, graph, sync};
+    const PassContext ctx{corpus, decls, graph};
 
     std::vector<RawFinding> raw;
     for (const Family &fam : families())

@@ -61,26 +61,15 @@ struct PpDirective
  * `cold_marks` carries the reachability annotation consumed by the
  * call-graph rule families:
  *     // dbsim-analyze: cold(<reason>)     on a function definition
- * with the same same-line-or-next-code-line placement as allow().  The
- * reason text may not contain ')'.
+ * The reason text may not contain ')'.
  *
- * The structured concurrency-contract marks (DESIGN.md §5j) use the
- * same placement, one mark per `dbsim-analyze:` clause:
- *     // dbsim-analyze: guarded_by(<mutex-member>)  field: held for R/W
- *     // dbsim-analyze: atomic                      field: std::atomic
- *     // dbsim-analyze: phase(<name>)               field/function: only
- *                                                   reachable in <name>
- *                                                   phase (e.g. serial)
- *     // dbsim-analyze: requires(<m>[, <m>...])     function: caller must
- *                                                   hold these mutexes
- *
- * Placement: a mark sharing a line with code binds to that line.  A
- * standalone mark comment binds to the next line with code, and -- when
- * it appears *inside* a declaration that spans multiple lines (the
+ * Placement: a cold() mark sharing a line with code binds to that line.
+ * A standalone mark comment binds to the next line with code, and --
+ * when it appears *inside* a declaration that spans multiple lines (the
  * statement is still open) -- also to the last code line before it, so
  * multi-line declarations never silently detach their annotations.
- * allow() keeps the original next-code-line-only placement, since its
- * suppression scope is line-anchored.
+ * allow() binds to the next code line only, since its suppression scope
+ * is line-anchored.
  */
 struct SourceFile
 {
@@ -89,11 +78,7 @@ struct SourceFile
     std::vector<IncludeDirective> includes;
     std::vector<PpDirective> directives;
     std::map<int, std::set<std::string>> allows;
-    std::map<int, std::string> cold_marks;    ///< line -> reason
-    std::map<int, std::string> guarded_marks; ///< line -> mutex member
-    std::set<int> atomic_marks;               ///< lines marked atomic
-    std::map<int, std::string> phase_marks;   ///< line -> phase name
-    std::map<int, std::set<std::string>> requires_marks; ///< line -> mutexes
+    std::map<int, std::string> cold_marks; ///< line -> reason
     int last_line = 0;
 
     bool isHeader() const;

@@ -14,7 +14,6 @@
 #include "callgraph.hpp"
 #include "corpus.hpp"
 #include "decls.hpp"
-#include "locksets.hpp"
 
 namespace dbsim::analyze {
 
@@ -49,10 +48,6 @@ inline constexpr char kRuleHotpathMapLookup[] = "hotpath-map-lookup";
 inline constexpr char kRuleHotpathVirtual[] = "hotpath-virtual";
 inline constexpr char kRuleHotpathString[] = "hotpath-string";
 inline constexpr char kRuleCounterReach[] = "accounting-counter-reachability";
-inline constexpr char kRuleSyncGuarded[] = "sync-guarded-access";
-inline constexpr char kRuleSyncRequires[] = "sync-requires-violation";
-inline constexpr char kRuleSyncLockOrder[] = "sync-lock-order";
-inline constexpr char kRuleSyncAtomicRmw[] = "sync-atomic-rmw";
 
 /**
  * Everything a rule pass may consult: the lexed corpus plus the
@@ -64,7 +59,6 @@ struct PassContext
     const Corpus &corpus;
     const DeclIndex &decls;
     const CallGraph &graph;
-    const SyncIndex &sync;
 };
 
 void runDeterminismRules(const PassContext &ctx,
@@ -76,12 +70,6 @@ void runConventionRules(const PassContext &ctx,
 void runCheckpointRules(const PassContext &ctx,
                         std::vector<RawFinding> &out);
 void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out);
-void runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out);
-
-/// Shared helper: true when the identifier at token `i` is mutated
-/// (assignment, compound assignment, ++/--), looking through member
-/// chains and subscripts the way rules_accounting does.
-bool isWriteContext(const std::vector<Token> &t, std::size_t i);
 
 } // namespace dbsim::analyze
 

@@ -12,7 +12,8 @@
  *
  * pairs that serialize exactly the mutable simulation state (never
  * construction-derived configuration, never host pointers or host
- * clocks -- enforced by the dbsim-analyze `checkpoint-purity` rule).
+ * clocks: stray bytes change the epoch hashes that tests/test_golden.cpp
+ * pins).
  * The same byte stream feeds both on-disk checkpoints and the cheap
  * per-epoch FNV-1a state hashes used by tools/dbsim-diverge.
  *

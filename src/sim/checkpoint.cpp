@@ -4,7 +4,8 @@
  *
  * serializeState() walks every stateful component of the machine in a
  * fixed order, producing the byte-stable stream that feeds both the
- * on-disk checkpoint format and the per-epoch FNV state hashes.
+ * on-disk checkpoint format and (without the coherence checker's
+ * section) the per-epoch FNV state hashes.
  * saveCheckpoint()/restoreCheckpoint() wrap that stream in a versioned
  * file format:
  *
@@ -135,7 +136,7 @@ System::configSignature() const
 }
 
 void
-System::serializeState(snap::Writer &w) const
+System::serializeState(snap::Writer &w, bool with_checker) const
 {
     w.u64(now_);
     w.u64(retired_before_reset_);
@@ -166,8 +167,10 @@ System::serializeState(snap::Writer &w) const
     fabric_.saveState(w);
     sched_.saveState(w);
 
-    w.boolean(checker_ != nullptr);
-    if (checker_)
+    // Without the checker section the stream reads as "no checker".
+    const bool checker_section = with_checker && checker_ != nullptr;
+    w.boolean(checker_section);
+    if (checker_section)
         checker_->saveState(w);
 
     for (const CpuState &cs : cpus_) {
@@ -245,7 +248,7 @@ std::uint64_t
 System::stateHash() const
 {
     snap::Writer w;
-    serializeState(w);
+    serializeState(w, /*with_checker=*/false);
     return w.hash();
 }
 
@@ -258,7 +261,7 @@ System::saveCheckpoint(const std::string &path) const
     w.u32(kCheckpointVersion);
     w.u64(configSignature());
 
-    serializeState(w);
+    serializeState(w, /*with_checker=*/true);
 
     // Epoch bookkeeping rides outside the machine state so stateHash()
     // stays insensitive to the hashing knobs, but restored runs still

@@ -187,12 +187,13 @@ class System : public cpu::CoreEnvIf
      * Serialize the complete architectural and micro-architectural
      * machine state -- clock, run-loop carry state, lock table, CPU
      * scheduling state, page map, fabric + directory, scheduler,
-     * checker, every node's hierarchy, every core's window, every
-     * process context and trace source -- in a fixed byte-stable order.
-     * Epoch/checkpoint bookkeeping is *not* included, so the bytes (and
-     * stateHash()) are insensitive to the observation knobs.
+     * checker (if @p with_checker), every node's hierarchy, every
+     * core's window, every process context and trace source -- in a
+     * fixed byte-stable order.  Epoch/checkpoint bookkeeping is *not*
+     * included, so the bytes (and stateHash()) are insensitive to the
+     * observation knobs.
      */
-    void serializeState(snap::Writer &w) const;
+    void serializeState(snap::Writer &w, bool with_checker) const;
 
     /**
      * Inverse of serializeState().  The machine must have been built
@@ -203,7 +204,11 @@ class System : public cpu::CoreEnvIf
      */
     void deserializeState(snap::Reader &r);
 
-    /** FNV-1a 64 over the serializeState() byte stream. */
+    /**
+     * FNV-1a 64 over the serializeState() byte stream without the
+     * checker section: the checker only observes the machine, so
+     * arming it (DBSIM_CHECK) leaves every epoch hash unchanged.
+     */
     std::uint64_t stateHash() const;
 
     /**

@@ -318,6 +318,30 @@ TEST(Checkpoint, DeadlinePollStrideIsObservationOnly)
     expectSameOutcome(loose, tight);
 }
 
+/** The coherence checker only observes the machine: arming it leaves
+ *  the results, the epoch-hash stream and the state hash unchanged (its
+ *  own state is in checkpoints, not in the hashes). */
+TEST(Checkpoint, CoherenceCheckerIsObservationOnly)
+{
+    const char *env = std::getenv("DBSIM_CHECK");
+    const bool had_env = env != nullptr;
+    const std::string saved = had_env ? env : "";
+    ::setenv("DBSIM_CHECK", "0", 1);
+    SimConfig cfg = smallConfig(WorkloadKind::Oltp, 2);
+    FullRun unchecked = runFull(cfg);
+    cfg.system.check_coherence = true;
+    const FullRun checked = runFull(cfg);
+    if (had_env)
+        ::setenv("DBSIM_CHECK", saved.c_str(), 1);
+    else
+        ::unsetenv("DBSIM_CHECK");
+
+    EXPECT_EQ(unchecked.dump.find("checker:"), std::string::npos);
+    EXPECT_NE(checked.dump.find("checker:"), std::string::npos);
+    unchecked.dump = checked.dump; // the dump reports the checker's audits
+    expectSameOutcome(unchecked, checked);
+}
+
 // ---------------------------------------------------------------------
 // Sweep-layer integration
 // ---------------------------------------------------------------------

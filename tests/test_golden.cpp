@@ -46,18 +46,13 @@ using cpu::ConsistencyModel;
 const std::string kGoldenPath =
     std::string(DBSIM_REPO_ROOT) + "/tests/golden/fingerprints.json";
 
-/**
- * Reduced budget with a coarse epoch-hash stream.  The coherence
- * checker's state is part of the hashed machine, so it is armed here
- * rather than left to DBSIM_CHECK.
- */
+/** Reduced budget with a coarse epoch-hash stream. */
 SimConfig
 reduced(SimConfig cfg, std::uint64_t instructions = 300'000)
 {
     cfg.total_instructions = instructions;
     cfg.warmup_instructions = instructions / 4;
     cfg.system.state_hash_interval = 50'000;
-    cfg.system.check_coherence = true;
     return cfg;
 }
 

@@ -43,8 +43,8 @@ const std::set<std::string> &
 coldFunctionNames()
 {
     static const std::set<std::string> kCold = {
-        // checkpoint/serialization layer (byte-stable, off the
-        // measured path; checkpoint-purity guards it instead)
+        // checkpoint/serialization layer (off the measured path; the
+        // golden epoch hashes guard its bytes)
         "saveState", "restoreState", "serializeState",
         "deserializeState", "stateHash", "configSignature",
         "saveCheckpoint", "restoreCheckpoint",

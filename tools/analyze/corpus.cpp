@@ -326,54 +326,6 @@ indexStatsStructs(const SourceFile &f, const std::set<std::string> &aliases,
     }
 }
 
-void
-indexEnums(const SourceFile &f, std::map<std::string, Corpus::EnumDef> &out)
-{
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-        if (t[i].kind != Tok::Ident || t[i].text != "enum")
-            continue;
-        std::size_t j = i + 1;
-        if (j < t.size() && (t[j].text == "class" || t[j].text == "struct"))
-            ++j;
-        if (j >= t.size() || t[j].kind != Tok::Ident)
-            continue;
-        Corpus::EnumDef def;
-        def.name = t[j].text;
-        def.file_rel = f.rel;
-        def.line = t[j].line;
-        ++j;
-        // Optional underlying type, then '{' (';' = opaque declaration).
-        while (j < t.size() && t[j].text != "{" && t[j].text != ";")
-            ++j;
-        if (j >= t.size() || t[j].text != "{")
-            continue;
-        ++j;
-        bool expect_name = true;
-        int depth = 1;
-        for (; j < t.size() && depth > 0; ++j) {
-            const Token &tk = t[j];
-            if (tk.kind == Tok::Punct) {
-                if (tk.text == "{" || tk.text == "(")
-                    ++depth;
-                else if (tk.text == "}" || tk.text == ")")
-                    --depth;
-                else if (tk.text == "," && depth == 1)
-                    expect_name = true;
-                continue;
-            }
-            if (depth == 1 && expect_name && tk.kind == Tok::Ident) {
-                def.enumerators.push_back(tk.text);
-                expect_name = false;
-            }
-        }
-        auto [it, inserted] = out.emplace(def.name, def);
-        if (!inserted && it->second.enumerators != def.enumerators)
-            it->second.ambiguous = true;
-        i = j ? j - 1 : j;
-    }
-}
-
 } // namespace
 
 bool
@@ -418,7 +370,6 @@ buildCorpus(const std::string &corpus_root,
     for (const SourceFile &f : out.files) {
         indexUnorderedVars(f, out.unordered_vars);
         indexStatsStructs(f, out.int_aliases, out.stats_structs);
-        indexEnums(f, out.enums);
     }
     return true;
 }

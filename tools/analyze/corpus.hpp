@@ -3,7 +3,7 @@
  * Corpus model for dbsim-analyze: the scanned file set, the include
  * graph resolved within it, and the cross-file declaration indexes the
  * rule passes consult (unordered-container variables, *Stats counter
- * structs, enum definitions).
+ * structs).
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_CORPUS_HPP
@@ -60,18 +60,6 @@ struct Corpus
         std::vector<CounterField> fields;
     };
     std::vector<StatsStruct> stats_structs;
-
-    struct EnumDef
-    {
-        std::string name;
-        std::string file_rel;
-        int line = 0;
-        std::vector<std::string> enumerators;
-        /// Two distinct enums share this bare name; switches over it
-        /// are skipped rather than misjudged.
-        bool ambiguous = false;
-    };
-    std::map<std::string, EnumDef> enums; ///< keyed by bare enum name
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal rule-pass interface.  Each family pass scans the corpus and
- * appends raw findings; the engine then applies inline suppressions,
- * the baseline, and rule filtering.
+ * appends raw findings; the engine then applies inline suppressions
+ * and rule filtering.
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_RULES_HPP
@@ -35,14 +35,12 @@ inline constexpr char kRuleWallclock[] = "determinism-wallclock";
 inline constexpr char kRuleRand[] = "determinism-rand";
 inline constexpr char kRulePointerFormat[] = "determinism-pointer-format";
 inline constexpr char kRuleCounterCoverage[] = "accounting-counter-coverage";
-inline constexpr char kRuleSwitchExhaustive[] = "accounting-switch-exhaustive";
 inline constexpr char kRuleLayerCycle[] = "layering-cycle";
 inline constexpr char kRuleLayerOrder[] = "layering-order";
 inline constexpr char kRuleAssert[] = "convention-assert";
 inline constexpr char kRuleStdout[] = "convention-stdout";
 inline constexpr char kRuleIncludeGuard[] = "convention-include-guard";
 inline constexpr char kRuleCatchSwallow[] = "convention-catch-swallow";
-inline constexpr char kRuleCheckpointPurity[] = "checkpoint-purity";
 inline constexpr char kRuleHotpathAlloc[] = "hotpath-allocation";
 inline constexpr char kRuleHotpathMapLookup[] = "hotpath-map-lookup";
 inline constexpr char kRuleHotpathVirtual[] = "hotpath-virtual";
@@ -66,8 +64,6 @@ void runDeterminismRules(const PassContext &ctx,
 void runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out);
 void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out);
 void runConventionRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out);
-void runCheckpointRules(const PassContext &ctx,
                         std::vector<RawFinding> &out);
 void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out);
 

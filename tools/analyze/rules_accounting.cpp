@@ -3,12 +3,11 @@
  * R2: stats-accounting rules.  The paper reproduction lives and dies by
  * its counters, so every integral field of a *Stats struct must be both
  * updated somewhere (else the report silently shows zeros) and consumed
- * somewhere (else the model collects data nobody checks), and switches
- * over enum classes (the stall taxonomy above all) must stay exhaustive
- * as enumerators are added.
+ * somewhere (else the model collects data nobody checks).  Switch
+ * exhaustiveness over the stall taxonomy is the compiler's job
+ * (-Werror=switch in the top-level CMakeLists.txt).
  */
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -137,115 +136,6 @@ checkCounterCoverage(const Corpus &c, std::vector<RawFinding> &out)
     }
 }
 
-bool
-isSentinelEnumerator(const std::string &name)
-{
-    // kCount / Count / kNumFoo style array-sizing sentinels are not
-    // real cases.
-    if (name == "kCount" || name == "Count" || name == "COUNT")
-        return true;
-    if (name.size() > 5 && name.compare(name.size() - 5, 5, "Count") == 0)
-        return true;
-    return name.rfind("kNum", 0) == 0;
-}
-
-void
-checkSwitches(const Corpus &c, const SourceFile &f,
-              std::vector<RawFinding> &out)
-{
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != Tok::Ident || t[i].text != "switch" ||
-            i + 1 >= t.size() || t[i + 1].text != "(")
-            continue;
-        // Skip the condition, find the body.
-        std::size_t j = i + 1;
-        int depth = 0;
-        for (; j < t.size(); ++j) {
-            if (t[j].kind != Tok::Punct)
-                continue;
-            if (t[j].text == "(")
-                ++depth;
-            else if (t[j].text == ")" && --depth == 0)
-                break;
-        }
-        for (++j; j < t.size() && t[j].text != "{"; ++j)
-            ;
-        if (j >= t.size())
-            continue;
-
-        // Walk the body at depth 1, collecting qualified case labels
-        // and default.
-        std::string enum_name;
-        bool mixed = false, has_default = false;
-        std::set<std::string> used;
-        depth = 0;
-        for (; j < t.size(); ++j) {
-            const Token &tk = t[j];
-            if (tk.kind == Tok::Punct) {
-                if (tk.text == "{" && ++depth)
-                    continue;
-                if (tk.text == "}" && --depth == 0)
-                    break;
-                continue;
-            }
-            if (depth != 1 || tk.kind != Tok::Ident)
-                continue;
-            if (tk.text == "default") {
-                has_default = true;
-                continue;
-            }
-            if (tk.text != "case")
-                continue;
-            // Parse `Qual::...::Enumerator` up to ':'.
-            std::vector<std::string> chain;
-            std::size_t k = j + 1;
-            while (k + 1 < t.size() && t[k].kind == Tok::Ident &&
-                   t[k + 1].text == "::") {
-                chain.push_back(t[k].text);
-                k += 2;
-            }
-            if (k < t.size() && t[k].kind == Tok::Ident &&
-                k + 1 < t.size() && t[k + 1].text == ":" &&
-                !chain.empty()) {
-                used.insert(t[k].text);
-                const std::string &en = chain.back();
-                if (enum_name.empty())
-                    enum_name = en;
-                else if (enum_name != en)
-                    mixed = true;
-            } else if (!chain.empty() || k >= t.size() ||
-                       t[k].kind != Tok::Ident) {
-                mixed = true; // expression label we can't model
-            } else {
-                mixed = true; // unqualified label (classic enum)
-            }
-            j = k;
-        }
-
-        if (mixed || has_default || enum_name.empty())
-            continue;
-        const auto it = c.enums.find(enum_name);
-        if (it == c.enums.end() || it->second.ambiguous)
-            continue;
-        std::vector<std::string> missing;
-        for (const std::string &e : it->second.enumerators)
-            if (!used.count(e) && !isSentinelEnumerator(e))
-                missing.push_back(e);
-        if (missing.empty())
-            continue;
-        std::string list;
-        for (std::size_t m = 0; m < missing.size(); ++m)
-            list += (m ? ", " : "") + missing[m];
-        out.push_back({kRuleSwitchExhaustive, f.rel, t[i].line,
-                       "switch over '" + enum_name +
-                           "' has no default and misses enumerator(s): " +
-                           list +
-                           " (handle them or add an accounted default)",
-                       0});
-    }
-}
-
 /**
  * Interprocedural counter-reachability: a counter that is updated, but
  * only in functions the tick path can never reach (and that are not
@@ -314,8 +204,6 @@ void
 runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     checkCounterCoverage(ctx.corpus, out);
-    for (const SourceFile &f : ctx.corpus.files)
-        checkSwitches(ctx.corpus, f, out);
     checkCounterReachability(ctx, out);
 }
 

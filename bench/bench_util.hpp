@@ -11,35 +11,37 @@
  *   --jobs N              bound the number of concurrent simulations
  *                         (default: DBSIM_JOBS, then hardware concurrency)
  *   --json PATH           write every section's results as machine-readable
- *                         JSON (schema dbsim-bench-v2)
+ *                         JSON (schema dbsim-bench-v3)
  *   --journal PATH        incremental journal of finished items (default:
  *                         <bench>.journal.jsonl; "none" disables)
  *   --resume PATH         replay completed items from PATH, re-run only
- *                         failed/missing ones
+ *                         failed/missing ones -- from their checkpoints
+ *                         when --checkpoint-dir is given
  *   --on-failure MODE     abort (default) or collect: keep going past a
  *                         failed item and record it in the report
- *   --max-retries N       re-run a failed item up to N more times with
- *                         identical seeds (implies collect on final failure)
  *   --item-timeout-sec N  host wall-clock budget per item (default:
- *                         DBSIM_ITEM_TIMEOUT, then disabled)
+ *                         disabled)
  *   --checkpoint-dir D    write per-item checkpoints under D; timed-out /
  *                         interrupted items leave a resumable checkpoint
  *   --checkpoint-interval N  periodic checkpoint every N cycles (default
  *                         500000 once a checkpoint dir is set)
  *   --state-hash-interval N  record an FNV state hash every N cycles
  *                         (emitted per item in the JSON report)
- *   --restore             before running an item, restore it from its
- *                         checkpoint under --checkpoint-dir if one exists
  *
- * Exit codes: 0 clean; 1 JSON/journal write failure; 2 config rejection;
- * 3 invariant failure; core::kSweepPartialFailureExit (4) when a
- * collect/retry sweep finished with failed items in the report.
+ * Each bench declares its own valueless flags to parseBenchArgs; any
+ * other argument is a config error.
+ *
+ * Exit codes: 0 clean; 1 JSON/journal write failure; 2 config rejection
+ * (bad or unknown flag included); 3 invariant failure;
+ * core::kSweepPartialFailureExit (4) when a collect sweep finished with
+ * failed items in the report.
  */
 
 #ifndef DBSIM_BENCH_BENCH_UTIL_HPP
 #define DBSIM_BENCH_BENCH_UTIL_HPP
 
-#include <cstring>
+#include <algorithm>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -54,7 +56,7 @@
 
 namespace dbsim::bench {
 
-/** Harness flags plus whatever bench-specific flags remain. */
+/** Harness flags plus the bench-specific flags that were given. */
 struct BenchOptions
 {
     unsigned jobs = 0;       ///< 0 = resolve via DBSIM_JOBS / hardware
@@ -62,18 +64,16 @@ struct BenchOptions
     std::string journal_path; ///< empty = default; "none" = disabled
     std::string resume_path;  ///< empty = no resume
     bool collect_failures = false;   ///< --on-failure collect
-    unsigned max_retries = 0;        ///< extra attempts per failed item
-    unsigned item_timeout_sec = 0;   ///< 0 = DBSIM_ITEM_TIMEOUT / disabled
+    unsigned item_timeout_sec = 0;   ///< 0 = disabled
     std::string checkpoint_dir;      ///< empty = checkpointing disabled
     std::uint64_t checkpoint_interval = 0; ///< cycles; 0 = default
     std::uint64_t state_hash_interval = 0; ///< cycles; 0 = disabled
-    bool restore = false;            ///< --restore: reuse item checkpoints
-    std::vector<std::string> rest; ///< unconsumed (bench-specific) args
+    std::vector<std::string> flags; ///< bench-specific flags given
 
     bool
     has(const char *flag) const
     {
-        for (const auto &a : rest)
+        for (const auto &a : flags)
             if (a == flag)
                 return true;
         return false;
@@ -82,11 +82,14 @@ struct BenchOptions
 
 /**
  * Parse the shared harness flags (each accepts both `--flag V` and
- * `--flag=V`); everything else is passed through in `rest`.  Bad values
- * throw ConfigError (guardedMain turns that into exit code 2).
+ * `--flag=V`) plus the valueless @p bench_flags the calling bench
+ * declares, which land in `flags`.  A bad value or any other argument
+ * throws ConfigError (guardedMain turns that into exit code 2), so a
+ * mistyped flag cannot be silently ignored.
  */
 inline BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<const char *> bench_flags = {})
 {
     BenchOptions opts;
     constexpr std::uint64_t kMaxU32 = 0xffffffffu;
@@ -99,8 +102,6 @@ parseBenchArgs(int argc, char **argv)
             opts.journal_path = v;
         } else if (flag == "--resume") {
             opts.resume_path = v;
-        } else if (flag == "--max-retries") {
-            opts.max_retries = parseUnsignedFlag(flag, v, 0, kMaxU32);
         } else if (flag == "--item-timeout-sec") {
             opts.item_timeout_sec = parseUnsignedFlag(flag, v, 0, kMaxU32);
         } else if (flag == "--checkpoint-dir") {
@@ -122,19 +123,20 @@ parseBenchArgs(int argc, char **argv)
             }
         }
     };
-    const char *valued[] = {"--jobs",        "--json",
-                            "--journal",     "--resume",
-                            "--max-retries", "--item-timeout-sec",
-                            "--on-failure",  "--checkpoint-dir",
+    const char *valued[] = {"--jobs",       "--json",
+                            "--journal",    "--resume",
+                            "--on-failure", "--item-timeout-sec",
+                            "--checkpoint-dir",
                             "--checkpoint-interval",
                             "--state-hash-interval"};
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        bool consumed = false;
-        if (a == "--restore") { // valueless flag
-            opts.restore = true;
+        if (std::find(bench_flags.begin(), bench_flags.end(), a) !=
+            bench_flags.end()) {
+            opts.flags.push_back(a);
             continue;
         }
+        bool consumed = false;
         for (const char *flag : valued) {
             if (a == flag) {
                 if (i + 1 >= argc) {
@@ -152,8 +154,11 @@ parseBenchArgs(int argc, char **argv)
                 break;
             }
         }
-        if (!consumed)
-            opts.rest.push_back(a);
+        if (!consumed) {
+            std::string name = a.substr(0, a.find('='));
+            name.erase(0, name.find_first_not_of('-'));
+            throw ConfigError("cli." + name, "unknown flag " + a);
+        }
     }
     return opts;
 }
@@ -172,24 +177,21 @@ class BenchContext
         report_.bench = std::move(bench_name);
         report_.jobs = runner_.jobs();
 
-        core::FailurePolicy policy = core::FailurePolicy::abort();
-        if (opts.max_retries > 0)
-            policy = core::FailurePolicy::retry(1 + opts.max_retries);
-        else if (opts.collect_failures)
-            policy = core::FailurePolicy::collect();
-        runner_.setFailurePolicy(policy);
-        runner_.setItemTimeout(core::SweepRunner::resolveItemTimeout(
-            static_cast<double>(opts.item_timeout_sec)));
+        runner_.setCollect(opts.collect_failures);
+        runner_.setItemTimeout(opts.item_timeout_sec);
         runner_.setStateHashInterval(opts.state_hash_interval);
         if (!opts.checkpoint_dir.empty()) {
             runner_.setCheckpointDir(opts.checkpoint_dir);
             runner_.setCheckpointInterval(opts.checkpoint_interval);
-            runner_.setRestore(opts.restore);
+            // Resuming re-runs failed or unfinished items; those with a
+            // checkpoint on disk continue from it.
+            runner_.setRestore(!opts.resume_path.empty());
             // SIGINT/SIGTERM now flush a checkpoint before unwinding, so
             // an interrupted sweep can be resumed mid-item.
             sim::installCheckpointSignalHandler();
         }
-        report_.failure_policy = policy.describe();
+        report_.failure_policy =
+            opts.collect_failures ? "collect" : "abort";
         report_.item_timeout_sec = runner_.itemTimeout();
 
         if (!opts.resume_path.empty())
@@ -265,7 +267,8 @@ class BenchContext
             if (!plan.replayed[i].empty()) {
                 if (copy_replayed_to_journal_)
                     journal_.appendRaw(plan.replayed[i]);
-                report_.addReplayed(section, plan.replayed[i]);
+                report_.entries.push_back(
+                    {section, true, plan.replayed[i], {}});
                 continue;
             }
             const core::SweepItemOutcome &o = outcome.items[next_fresh++];
@@ -275,11 +278,8 @@ class BenchContext
                 abort_error = o.error;
             report_.entries.push_back({section, false, {}, o});
         }
-        if (abort_error &&
-            runner_.failurePolicy().mode ==
-                core::FailurePolicy::Mode::Abort) {
+        if (abort_error && !runner_.collects())
             std::rethrow_exception(abort_error);
-        }
         return fresh_ok;
     }
 
@@ -287,8 +287,8 @@ class BenchContext
      * Write the JSON report if requested and close the journal.
      * Returns the exit code: 1 when the report could not be written
      * (CI must fail loudly, never upload a stale file),
-     * core::kSweepPartialFailureExit when items failed under a
-     * collect/retry policy, 0 otherwise.
+     * core::kSweepPartialFailureExit when items failed under collect,
+     * 0 otherwise.
      */
     int
     finish()

@@ -16,7 +16,7 @@
  *                         [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include <iostream>
@@ -120,6 +120,8 @@ run(const bench::BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    return dbsim::core::guardedMain(
-        [&] { return run(dbsim::bench::parseBenchArgs(argc, argv)); });
+    return dbsim::core::guardedMain([&] {
+        return run(dbsim::bench::parseBenchArgs(
+            argc, argv, {"--sharing", "--oltp", "--dss"}));
+    });
 }

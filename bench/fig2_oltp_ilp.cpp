@@ -14,7 +14,7 @@
  * Usage: fig2_oltp_ilp [--occupancy] [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include "ilp_figure.hpp"
@@ -33,6 +33,7 @@ run(const dbsim::bench::BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    return dbsim::core::guardedMain(
-        [&] { return run(dbsim::bench::parseBenchArgs(argc, argv)); });
+    return dbsim::core::guardedMain([&] {
+        return run(dbsim::bench::parseBenchArgs(argc, argv, {"--occupancy"}));
+    });
 }

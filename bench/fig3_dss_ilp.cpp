@@ -13,7 +13,7 @@
  * Usage: fig3_dss_ilp [--occupancy] [--funits] [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include <iostream>
@@ -51,6 +51,8 @@ run(const dbsim::bench::BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    return dbsim::core::guardedMain(
-        [&] { return run(dbsim::bench::parseBenchArgs(argc, argv)); });
+    return dbsim::core::guardedMain([&] {
+        return run(dbsim::bench::parseBenchArgs(argc, argv,
+                                                {"--occupancy", "--funits"}));
+    });
 }

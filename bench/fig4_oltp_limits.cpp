@@ -11,7 +11,7 @@
  * Usage: fig4_oltp_limits [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include <iostream>

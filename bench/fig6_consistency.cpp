@@ -14,7 +14,7 @@
  * Usage: fig6_consistency [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include <cstdio>

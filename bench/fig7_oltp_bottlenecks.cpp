@@ -19,7 +19,7 @@
  * Usage: fig7_oltp_bottlenecks [--uni] [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  */
 
 #include <cstdio>
@@ -145,6 +145,7 @@ run(const bench::BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    return dbsim::core::guardedMain(
-        [&] { return run(dbsim::bench::parseBenchArgs(argc, argv)); });
+    return dbsim::core::guardedMain([&] {
+        return run(dbsim::bench::parseBenchArgs(argc, argv, {"--uni"}));
+    });
 }

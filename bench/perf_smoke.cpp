@@ -10,10 +10,10 @@
  * Usage: perf_smoke [--jobs N] [--json PATH]
  *        plus the shared fault-tolerance flags (bench_util.hpp):
  *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--item-timeout-sec S]
  *        and the checkpoint/epoch-hash flags (DESIGN.md §5g):
  *        [--checkpoint-dir DIR] [--checkpoint-interval CYCLES]
- *        [--state-hash-interval CYCLES] [--restore]
+ *        [--state-hash-interval CYCLES]
  */
 
 #include <cstdio>
@@ -58,7 +58,7 @@ run(dbsim::bench::BenchOptions opts)
                     r.run.ipc, r.wall_seconds, r.sim_ips / 1e6);
     }
     // finish() returns nonzero when the JSON report could not be
-    // written (or items failed under collect/retry); CI keys off the
+    // written (or items failed under collect); CI keys off the
     // exit code, so never announce a report that is not actually there.
     const int code = ctx.finish();
     if (code == 0)

@@ -63,10 +63,9 @@ class SimInvariantError : public std::runtime_error
 };
 
 /**
- * A host-side deadline (sweep --item-timeout-sec / DBSIM_ITEM_TIMEOUT)
- * expired while a simulation was still running.  Thrown from the
- * System::run loop, so every destructor on the way out runs normally
- * and the machine can be rebuilt for a retry.  The dump() is the
+ * A host-side deadline (sweep --item-timeout-sec) expired while a
+ * simulation was still running.  Thrown from the System::run loop, so
+ * every destructor on the way out runs normally.  The dump() is the
  * machineStateDump() taken when the deadline was noticed, kept separate
  * from what() so reporting layers can bound its size independently.
  */

@@ -13,7 +13,6 @@
 #include "common/errors.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "common/rng.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
 #include "sim/diagnostics.hpp"
@@ -71,21 +70,6 @@ failureKindName(FailureKind kind)
         return "exception";
       case FailureKind::Interrupted:
         return "interrupted";
-    }
-    return "unknown";
-}
-
-// dbsim-analyze: cold(sweep-journal bookkeeping, once per sweep point)
-std::string
-FailurePolicy::describe() const
-{
-    switch (mode) {
-      case Mode::Abort:
-        return "abort";
-      case Mode::Collect:
-        return "collect";
-      case Mode::Retry:
-        return "retry:" + std::to_string(max_attempts);
     }
     return "unknown";
 }
@@ -175,17 +159,6 @@ SweepRunner::resolveJobs(unsigned cli_jobs)
     return resolved;
 }
 
-double
-SweepRunner::resolveItemTimeout(double cli_seconds)
-{
-    if (cli_seconds > 0.0)
-        return cli_seconds;
-    return static_cast<double>(
-        unsignedFromEnv("DBSIM_ITEM_TIMEOUT",
-                        "a nonnegative number of seconds")
-            .value_or(0));
-}
-
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 void
@@ -213,8 +186,7 @@ SweepRunner::checkpointPathFor(std::size_t index) const
 }
 
 SweepResult
-SweepRunner::runOne(const SweepItem &item, std::size_t index,
-                    unsigned attempt) const
+SweepRunner::runOne(const SweepItem &item, std::size_t index) const
 {
     // The deadline covers everything below, including injected delays,
     // so a Delay fault plus a short timeout exercises the real
@@ -222,7 +194,7 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     sim::HostDeadlineScope deadline(item_timeout_sec_);
 
     if (fault_plan_) {
-        if (const FaultSpec *f = fault_plan_->match(index, attempt)) {
+        if (const FaultSpec *f = fault_plan_->match(index)) {
             switch (f->kind) {
               case FaultSpec::Kind::Throw:
                 throw std::runtime_error(f->message);
@@ -242,11 +214,6 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     SweepResult out;
     out.label = item.label;
     out.cfg = item.cfg;
-    if (base_seed_ != 0) {
-        const std::uint64_t seed = splitmix64(base_seed_ ^ index);
-        out.cfg.oltp.seed = seed;
-        out.cfg.dss.seed = seed;
-    }
     out.config = describe(out.cfg);
     if (out.label.empty())
         out.label = out.config;
@@ -267,12 +234,10 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     // dbsim-analyze: allow(determinism-wallclock)
     const auto t0 = std::chrono::steady_clock::now();
     Simulation simulation(out.cfg);
-    // Continue from the item's checkpoint when resuming (--restore) or
-    // retrying after a mid-flight failure; a fresh deadline plus the
-    // already-simulated prefix is what makes timeout retries able to
-    // finish instead of deterministically timing out again.
-    if ((restore_ || attempt > 1) && !ckpt_path.empty() &&
-        fileExists(ckpt_path)) {
+    // Continue from the item's checkpoint when resuming: a fresh
+    // deadline plus the already-simulated prefix is what lets a
+    // timed-out or killed item finish instead of starting over.
+    if (restore_ && !ckpt_path.empty() && fileExists(ckpt_path)) {
         if (simulation.restoreFromCheckpoint(ckpt_path)) {
             DBSIM_WARN("sweep item ", index, " (\"", out.label,
                        "\") restored from checkpoint ", ckpt_path,
@@ -320,101 +285,58 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
 SweepItemOutcome
 SweepRunner::runIsolated(const SweepItem &item, std::size_t index) const
 {
-    const unsigned max_attempts =
-        policy_.mode == FailurePolicy::Mode::Retry
-            ? std::max(1u, policy_.max_attempts)
-            : 1u;
-
     SweepItemOutcome out;
     out.index = index;
-
-    for (unsigned attempt = 1;; ++attempt) {
-        FailureKind kind = FailureKind::Exception;
-        std::string what;
-        std::string excerpt;
-        try {
-            out.result = runOne(item, index, attempt);
-            out.status = SweepItemOutcome::Status::Ok;
-            out.attempts = attempt;
-            return out;
-        } catch (const ConfigError &e) {
-            kind = FailureKind::Config;
-            what = e.what();
-            out.error = std::current_exception();
-        } catch (const SimTimeoutError &e) {
-            kind = FailureKind::Timeout;
-            what = e.what();
-            excerpt = truncated(e.dump());
-            out.error = std::current_exception();
-        } catch (const SimInterruptedError &e) {
-            // The operator asked the process to stop; retrying would
-            // fight the shutdown.  The checkpoint (written before the
-            // unwind) is recorded below for --resume --restore.
-            kind = FailureKind::Interrupted;
-            what = e.what();
-            excerpt = truncated(e.dump());
-            out.error = std::current_exception();
-        } catch (const SimInvariantError &e) {
-            // The panic path appends the crash-dump registry's text
-            // after the first line of the message; split it back apart.
-            kind = FailureKind::Invariant;
-            auto [head, rest] = splitFirstLine(e.what());
-            what = std::move(head);
-            excerpt = truncated(std::move(rest));
-            out.error = std::current_exception();
-        } catch (const std::exception &e) {
-            kind = FailureKind::Exception;
-            what = e.what();
-            out.error = std::current_exception();
-        } catch (...) {
-            kind = FailureKind::Exception;
-            what = "unknown exception";
-            out.error = std::current_exception();
-        }
-
-        // Configuration rejections are deterministic in the item, so
-        // retrying them can only reproduce the same refusal; an
-        // interrupt is the operator telling us to stop.  A timeout is
-        // only worth retrying when the item has a checkpoint to restore
-        // from -- an identical from-scratch re-run of a deterministic
-        // simulation would hit the same wall and burn max_attempts
-        // deadlines' worth of host time lying about its chances, so
-        // without checkpoints the timeout is recorded honestly with the
-        // attempts it actually consumed.
-        bool retryable = kind != FailureKind::Config &&
-                         kind != FailureKind::Interrupted;
-        if (kind == FailureKind::Timeout && checkpoint_dir_.empty()) {
-            retryable = false;
-            if (max_attempts > 1 && attempt < max_attempts) {
-                DBSIM_WARN("sweep item ", index, " (\"", item.label,
-                           "\") timed out and no --checkpoint-dir is "
-                           "configured; not retrying (a from-scratch "
-                           "re-run would time out identically)");
-            }
-        }
-        if (retryable && attempt < max_attempts) {
-            DBSIM_WARN("sweep item ", index, " (\"", item.label,
-                       "\") failed attempt ", attempt, "/", max_attempts,
-                       " [", failureKindName(kind), "]: ", what,
-                       "; retrying with identical seeds");
-            continue;
-        }
-
-        out.status = SweepItemOutcome::Status::Failed;
-        out.attempts = attempt;
-        out.failure.label =
-            item.label.empty() ? describe(item.cfg) : item.label;
-        out.failure.index = index;
-        out.failure.kind = kind;
-        out.failure.what = std::move(what);
-        out.failure.crash_dump_excerpt = std::move(excerpt);
-        out.failure.attempts = attempt;
-        if (const std::string p = checkpointPathFor(index);
-            !p.empty() && fileExists(p)) {
-            out.failure.checkpoint_path = p;
-        }
+    FailureKind kind = FailureKind::Exception;
+    std::string what;
+    std::string excerpt;
+    try {
+        out.result = runOne(item, index);
+        out.status = SweepItemOutcome::Status::Ok;
         return out;
+    } catch (const ConfigError &e) {
+        kind = FailureKind::Config;
+        what = e.what();
+        out.error = std::current_exception();
+    } catch (const SimTimeoutError &e) {
+        kind = FailureKind::Timeout;
+        what = e.what();
+        excerpt = truncated(e.dump());
+        out.error = std::current_exception();
+    } catch (const SimInterruptedError &e) {
+        // The checkpoint (written before the unwind) is recorded below
+        // for --resume.
+        kind = FailureKind::Interrupted;
+        what = e.what();
+        excerpt = truncated(e.dump());
+        out.error = std::current_exception();
+    } catch (const SimInvariantError &e) {
+        // The panic path appends the crash-dump registry's text after
+        // the first line of the message; split it back apart.
+        kind = FailureKind::Invariant;
+        auto [head, rest] = splitFirstLine(e.what());
+        what = std::move(head);
+        excerpt = truncated(std::move(rest));
+        out.error = std::current_exception();
+    } catch (const std::exception &e) {
+        what = e.what();
+        out.error = std::current_exception();
+    } catch (...) {
+        what = "unknown exception";
+        out.error = std::current_exception();
     }
+
+    out.status = SweepItemOutcome::Status::Failed;
+    out.failure.label = item.label.empty() ? describe(item.cfg) : item.label;
+    out.failure.index = index;
+    out.failure.kind = kind;
+    out.failure.what = std::move(what);
+    out.failure.crash_dump_excerpt = std::move(excerpt);
+    if (const std::string p = checkpointPathFor(index);
+        !p.empty() && fileExists(p)) {
+        out.failure.checkpoint_path = p;
+    }
+    return out;
 }
 
 namespace {
@@ -441,7 +363,6 @@ class SweepCollector
     {
         std::lock_guard<std::mutex> lock(mu_);
         items_[i] = std::move(outcome);
-        ++delivered_;
         if (cb_)
             cb_(items_[i]);
     }
@@ -454,7 +375,6 @@ class SweepCollector
         SweepOutcome out;
         out.items = std::move(items_);
         items_.clear();
-        delivered_ = 0;
         return out;
     }
 
@@ -463,8 +383,6 @@ class SweepCollector
     const std::function<void(const SweepItemOutcome &)> &cb_;
     // Guarded by mu_.
     std::vector<SweepItemOutcome> items_;
-    // Guarded by mu_.
-    std::size_t delivered_ = 0;
 };
 
 } // namespace
@@ -487,13 +405,13 @@ SweepRunner::runChecked(
                  "runChecked: ", items.size(), " items but ",
                  original_indices.size(), " original indices");
 
-    // Under an isolating policy a DBSIM_PANIC anywhere in an item must
-    // surface as a catchable SimInvariantError, not a process abort.
-    // The guard is process-global; workers inherit it for the duration
-    // of the sweep.  Abort mode keeps today's semantics (a panic takes
-    // the process down unless a test installed its own guard).
+    // Under collect a DBSIM_PANIC anywhere in an item must surface as a
+    // catchable SimInvariantError, not a process abort.  The guard is
+    // process-global; workers inherit it for the duration of the sweep.
+    // Under abort a panic takes the process down unless a test
+    // installed its own guard.
     std::optional<PanicThrowGuard> guard;
-    if (policy_.isolating())
+    if (collect_)
         guard.emplace();
 
     SweepCollector collector(items.size(), on_complete_);
@@ -503,68 +421,9 @@ SweepRunner::runChecked(
     return collector.take();
 }
 
-std::vector<SweepResult>
-SweepRunner::run(const std::vector<SweepItem> &items) const
-{
-    // Legacy entry point: always abort semantics, whatever policy the
-    // runner carries -- callers that want isolation use runChecked().
-    SweepRunner aborting(*this);
-    aborting.policy_ = FailurePolicy::abort();
-    const SweepOutcome out = aborting.runChecked(items);
-
-    // Deterministic error propagation: the lowest-index failure wins,
-    // whatever order the workers happened to hit it in.
-    for (const auto &o : out.items) {
-        if (!o.ok() && o.error)
-            std::rethrow_exception(o.error);
-    }
-
-    std::vector<SweepResult> results;
-    results.reserve(out.items.size());
-    for (auto &o : out.items)
-        results.push_back(std::move(o.result));
-    return results;
-}
-
 // ---------------------------------------------------------------------
 // JSON report
 // ---------------------------------------------------------------------
-
-void
-SweepReport::add(const std::string &section,
-                 const std::vector<SweepResult> &results)
-{
-    for (const auto &r : results) {
-        Entry e;
-        e.section = section;
-        e.outcome.status = SweepItemOutcome::Status::Ok;
-        e.outcome.index = entries.size();
-        e.outcome.attempts = 1;
-        e.outcome.result = r;
-        entries.push_back(std::move(e));
-    }
-}
-
-void
-SweepReport::add(const std::string &section, const SweepOutcome &outcome)
-{
-    for (const auto &o : outcome.items) {
-        Entry e;
-        e.section = section;
-        e.outcome = o;
-        entries.push_back(std::move(e));
-    }
-}
-
-void
-SweepReport::addReplayed(const std::string &section, std::string raw_line)
-{
-    Entry e;
-    e.section = section;
-    e.replayed = true;
-    e.raw = std::move(raw_line);
-    entries.push_back(std::move(e));
-}
 
 std::size_t
 SweepReport::failures() const
@@ -675,7 +534,6 @@ renderSweepEntryJson(const std::string &section,
                                : outcome.failure.label);
     w.kv("index", static_cast<std::uint64_t>(outcome.index));
     w.kv("status", outcome.ok() ? "ok" : "failed");
-    w.kv("attempts", static_cast<std::uint64_t>(outcome.attempts));
     if (outcome.ok()) {
         writeResultBody(w, outcome.result);
     } else {
@@ -695,7 +553,7 @@ writeSweepJson(std::ostream &os, const SweepReport &report)
 {
     JsonWriter w(os);
     w.beginObject();
-    w.kv("schema", "dbsim-bench-v2");
+    w.kv("schema", "dbsim-bench-v3");
     w.kv("bench", report.bench);
     w.kv("jobs", static_cast<std::uint64_t>(report.jobs));
     w.kv("failure_policy", report.failure_policy);

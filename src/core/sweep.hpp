@@ -21,12 +21,11 @@
  * Fault tolerance (DESIGN.md §5e): runChecked() isolates each item --
  * a panic (captured via PanicThrowGuard), exception, or host-deadline
  * expiry in item k becomes a structured SweepFailure instead of killing
- * the pool.  FailurePolicy selects abort / collect / bounded retry;
- * retries re-run the identical (item, index) pair, so a retried success
- * is bitwise-equal to an undisturbed run.  SweepJournal appends each
+ * the pool.  Under abort the caller rethrows the lowest-index failure;
+ * under collect it stays a report entry.  SweepJournal appends each
  * finished item as one JSON line, and planResume() turns a journal back
- * into "skip these, re-run those", which is how an interrupted sweep
- * resumes without repeating completed work.
+ * into "skip these, re-run those", which is how an interrupted or
+ * partly failed sweep is re-run without repeating completed work.
  */
 
 #ifndef DBSIM_CORE_SWEEP_HPP
@@ -111,11 +110,11 @@ struct SweepResult
 
 /** Classification of a captured per-item failure. */
 enum class FailureKind : std::uint8_t {
-    Config,    ///< ConfigError: the configuration was rejected (not retried)
+    Config,    ///< ConfigError: the configuration was rejected
     Invariant, ///< SimInvariantError: DBSIM_PANIC / watchdog / checker
     Timeout,   ///< SimTimeoutError: host-side item deadline expired
     Exception, ///< any other exception
-    Interrupted, ///< SimInterruptedError: SIGINT/SIGTERM (never retried)
+    Interrupted, ///< SimInterruptedError: SIGINT/SIGTERM
 };
 
 const char *failureKindName(FailureKind kind);
@@ -128,38 +127,10 @@ struct SweepFailure
     FailureKind kind = FailureKind::Exception;
     std::string what;   ///< first line of the error message
     std::string crash_dump_excerpt; ///< bounded diagnostic dump (may be empty)
-    unsigned attempts = 1; ///< attempts consumed, including the last
     /** Path of the item's checkpoint file, when one exists on disk --
      *  how a resumed sweep continues a long item mid-flight instead of
      *  starting it over. */
     std::string checkpoint_path;
-};
-
-/** What the runner does when an item fails. */
-struct FailurePolicy
-{
-    enum class Mode : std::uint8_t {
-        Abort,   ///< record, finish remaining items, caller rethrows
-        Collect, ///< record as SweepFailure, keep going
-        Retry,   ///< re-run up to max_attempts, then collect
-    };
-
-    Mode mode = Mode::Abort;
-    unsigned max_attempts = 1; ///< total attempts per item (Retry only)
-
-    static FailurePolicy abort() { return {}; }
-    static FailurePolicy collect() { return {Mode::Collect, 1}; }
-    static FailurePolicy
-    retry(unsigned max_attempts)
-    {
-        return {Mode::Retry, max_attempts < 1 ? 1u : max_attempts};
-    }
-
-    /** True when failures are captured instead of propagated. */
-    bool isolating() const { return mode != Mode::Abort; }
-
-    /** "abort" / "collect" / "retry:N" (for reports and logs). */
-    std::string describe() const;
 };
 
 /** The outcome of one item under runChecked(). */
@@ -169,7 +140,6 @@ struct SweepItemOutcome
 
     Status status = Status::Ok;
     std::size_t index = 0;  ///< index within the original item list
-    unsigned attempts = 1;  ///< attempts consumed
     SweepResult result;     ///< valid when ok()
     SweepFailure failure;   ///< valid when !ok()
     std::exception_ptr error; ///< last exception (abort-mode rethrow)
@@ -188,7 +158,7 @@ struct SweepOutcome
 
 /**
  * Exit code benches use for "the sweep finished, but some items failed
- * under a collect/retry policy" -- distinct from config rejection (2),
+ * under collect" -- distinct from config rejection (2),
  * invariant abort (3) and generic/IO failure (1).
  */
 inline constexpr int kSweepPartialFailureExit = 4;
@@ -223,22 +193,19 @@ class SweepRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Derive per-item workload seeds as splitmix64(base ^ index) instead
-     * of using the seeds in each SimConfig.  The default (0) leaves the
-     * configs' own seeds untouched, which is what the figure benches
-     * want: every configuration replays the *same* workload.
+     * Failure handling for runChecked().  false (abort, the default):
+     * a DBSIM_PANIC keeps its process-abort semantics and the caller
+     * rethrows the lowest-index failure.  true (collect): panics are
+     * captured too, and every failure stays a per-item SweepFailure.
      */
-    void setBaseSeed(std::uint64_t base) { base_seed_ = base; }
-
-    /** Failure handling for runChecked() (default: abort). */
-    void setFailurePolicy(FailurePolicy policy) { policy_ = policy; }
-    const FailurePolicy &failurePolicy() const { return policy_; }
+    void setCollect(bool collect) { collect_ = collect; }
+    bool collects() const { return collect_; }
 
     /**
      * Host-side wall-clock budget per item in seconds (0 disables).  An
      * item still running past the deadline is abandoned mid-loop and
      * recorded as a FailureKind::Timeout carrying the machine-state
-     * dump.  Retries re-arm a fresh deadline.
+     * dump.
      */
     void setItemTimeout(double seconds)
     {
@@ -248,7 +215,7 @@ class SweepRunner
 
     /**
      * Test-only hook: consult @p plan (not owned; may be nullptr) before
-     * each (item, attempt) and fire any scheduled fault.  Used by the
+     * each item and fire any scheduled fault.  Used by the
      * fault-injection tests.
      */
     void setFaultPlan(const FaultPlan *plan) { fault_plan_ = plan; }
@@ -257,13 +224,11 @@ class SweepRunner
      * Directory for per-item checkpoints (empty disables, the default).
      * When set, every item runs with a checkpoint path of
      * checkpointPathFor(original index): the run loop checkpoints
-     * periodically and on timeout/signal unwind, retries of
-     * timeout-kind failures restore from the item's checkpoint instead
-     * of starting over, and failures record the checkpoint path in the
-     * journal so a resumed sweep continues long items mid-flight.
+     * periodically and on timeout/signal unwind, and failures record
+     * the checkpoint path in the journal so a resumed sweep continues
+     * long items mid-flight (setRestore).
      */
     void setCheckpointDir(std::string dir);
-    const std::string &checkpointDir() const { return checkpoint_dir_; }
 
     /** Simulated-cycle cadence of periodic checkpoints (0 = a default
      *  of 500k cycles when a checkpoint dir is configured). */
@@ -279,8 +244,9 @@ class SweepRunner
         state_hash_interval_ = interval;
     }
 
-    /** When true, first attempts also restore from an existing item
-     *  checkpoint (the --restore resume path).  Retries always do. */
+    /** When true, an item with a checkpoint on disk continues from it
+     *  instead of starting over (what --resume does once a checkpoint
+     *  dir is set). */
     void setRestore(bool restore) { restore_ = restore; }
 
     /** Checkpoint file path for original item @p index (empty when no
@@ -299,32 +265,23 @@ class SweepRunner
     }
 
     /**
-     * Run every item; results come back in input order regardless of
-     * completion order.  If any configuration throws (e.g. ConfigError
-     * from validation), all remaining items still run, then the
-     * lowest-index exception is rethrown -- so error behavior is also
-     * independent of the job count.  (Equivalent to runChecked() under
-     * FailurePolicy::abort() plus the rethrow.)
-     */
-    std::vector<SweepResult> run(const std::vector<SweepItem> &items) const;
-
-    /**
-     * Fault-isolated run under the configured FailurePolicy: per-item
-     * outcomes in input order, failures captured as SweepFailure (with
-     * panics converted to exceptions via PanicThrowGuard while an
-     * isolating policy is active).  Under FailurePolicy::abort() nothing
-     * is rethrown here either -- the caller owns propagation (see
-     * run()).
+     * Run every item: per-item outcomes in input order regardless of
+     * completion order, failures captured as SweepFailure (with panics
+     * converted to exceptions via PanicThrowGuard under collect).  All
+     * items run even when some fail; nothing is rethrown here -- the
+     * caller owns propagation (BenchContext::sweep rethrows the
+     * lowest-index error under abort, so error behavior is independent
+     * of the job count).
      */
     SweepOutcome runChecked(const std::vector<SweepItem> &items) const;
 
     /**
      * Like runChecked(items), but item i is treated as index
-     * @p original_indices[i] of a larger sweep -- labels, derived seeds,
+     * @p original_indices[i] of a larger sweep -- checkpoint paths,
      * fault matching and reported indices all use the original index.
-     * This is the resume path: re-running the failed/missing subset of a
-     * journaled sweep must reproduce the exact per-item seeds of the
-     * clean run.  @p original_indices must have items.size() entries.
+     * This is the resume path: the failed/missing subset of a journaled
+     * sweep re-runs as the same items of the same sweep.
+     * @p original_indices must have items.size() entries.
      */
     SweepOutcome
     runChecked(const std::vector<SweepItem> &items,
@@ -340,23 +297,13 @@ class SweepRunner
      */
     static unsigned resolveJobs(unsigned cli_jobs);
 
-    /**
-     * Resolve the per-item timeout: a positive @p cli_seconds wins;
-     * otherwise a valid nonnegative integer DBSIM_ITEM_TIMEOUT (seconds)
-     * from the environment; otherwise 0 (disabled).  Invalid environment
-     * values warn and are ignored, in the cyclesFromEnv() style.
-     */
-    static double resolveItemTimeout(double cli_seconds);
-
   private:
-    SweepResult runOne(const SweepItem &item, std::size_t index,
-                       unsigned attempt) const;
+    SweepResult runOne(const SweepItem &item, std::size_t index) const;
     SweepItemOutcome runIsolated(const SweepItem &item,
                                  std::size_t index) const;
 
     unsigned jobs_;
-    std::uint64_t base_seed_ = 0;
-    FailurePolicy policy_;
+    bool collect_ = false;
     double item_timeout_sec_ = 0.0;
     const FaultPlan *fault_plan_ = nullptr;
     std::function<void(const SweepItemOutcome &)> on_complete_;
@@ -367,16 +314,16 @@ class SweepRunner
 };
 
 // ---------------------------------------------------------------------
-// Report (schema dbsim-bench-v2)
+// Report (schema dbsim-bench-v3)
 // ---------------------------------------------------------------------
 
 /**
  * Accumulates sweep results across a bench's sections for the --json
- * report.  The emitted document is schema "dbsim-bench-v2": every
- * result is one compact entry object (section/label/index/status/
- * attempts, then the metrics, or an error object for failures), so a
- * journal line and a report entry are the same bytes -- the property
- * the resume path's field-exactness rests on.
+ * report.  The emitted document is schema "dbsim-bench-v3": every
+ * result is one compact entry object (section/label/index/status, then
+ * the metrics, or an error object for failures), so a journal line and
+ * a report entry are the same bytes -- the property the resume path's
+ * field-exactness rests on.
  */
 struct SweepReport
 {
@@ -394,30 +341,20 @@ struct SweepReport
     };
     std::vector<Entry> entries;
 
-    /** Append fresh successful results (status ok, 1 attempt each). */
-    void add(const std::string &section,
-             const std::vector<SweepResult> &results);
-
-    /** Append every outcome of a fault-isolated sweep. */
-    void add(const std::string &section, const SweepOutcome &outcome);
-
-    /** Append one journaled entry verbatim (resume path). */
-    void addReplayed(const std::string &section, std::string raw_line);
-
     /** Number of failed entries accumulated so far. */
     std::size_t failures() const;
 };
 
 /**
  * Render one report entry as a compact, single-line JSON object --
- * exactly the text that goes into both the journal and the v2 report's
+ * exactly the text that goes into both the journal and the report's
  * results array.  Deterministic: identical outcomes render to identical
  * bytes (modulo the wall-clock fields' values).
  */
 std::string renderSweepEntryJson(const std::string &section,
                                  const SweepItemOutcome &outcome);
 
-/** Emit the full report as JSON (schema dbsim-bench-v2). */
+/** Emit the full report as JSON (schema dbsim-bench-v3). */
 void writeSweepJson(std::ostream &os, const SweepReport &report);
 
 /**
@@ -458,20 +395,6 @@ class SweepJournal
      * the sweep still runs, just without a journal.
      */
     bool open(const std::string &path, bool append);
-
-    bool
-    isOpen() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return os_.is_open();
-    }
-
-    std::string
-    path() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return path_;
-    }
 
     /** Append one finished item (rendered) and flush. */
     void append(const std::string &section, const SweepItemOutcome &outcome);

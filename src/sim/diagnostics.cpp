@@ -1,6 +1,5 @@
 #include "sim/diagnostics.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -82,16 +81,6 @@ checkpointSignalTrampoline(int signo)
 }
 
 } // namespace
-
-std::uint32_t
-deadlinePollStride()
-{
-    const Cycles v = cyclesFromEnv("DBSIM_DEADLINE_STRIDE");
-    if (v == 0)
-        return 4096;
-    return static_cast<std::uint32_t>(
-        std::min<Cycles>(v, ~std::uint32_t{0}));
-}
 
 void
 installCheckpointSignalHandler()

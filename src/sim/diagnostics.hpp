@@ -20,7 +20,7 @@
  * wall-clock deadline (thread-local, so concurrent sweep workers do not
  * interfere), and the System::run loop polls it cheaply, converting an
  * expired deadline into a SimTimeoutError that carries the machine-state
- * dump -- a hung configuration becomes a structured, retryable failure
+ * dump -- a hung configuration becomes a structured, resumable failure
  * instead of a stuck process.
  */
 
@@ -90,13 +90,11 @@ class HostDeadlineScope
 
 /**
  * Loop-iteration stride at which System::run polls host-side conditions
- * (the wall-clock deadline and the termination-signal flag).  Defaults
- * to 4096; overridable via the DBSIM_DEADLINE_STRIDE environment
- * variable (clamped to >= 1).  The stride only changes how fast the
- * host notices a deadline or signal -- simulated behavior and reports
- * are bitwise-identical at any stride (tested in test_checkpoint.cpp).
+ * (the wall-clock deadline and the termination-signal flag).  The
+ * stride only changes how fast the host notices a deadline or signal,
+ * never simulated behavior.
  */
-std::uint32_t deadlinePollStride();
+inline constexpr std::uint32_t kDeadlinePollStride = 4096;
 
 /**
  * Install the cooperative SIGINT/SIGTERM handler: the first signal sets

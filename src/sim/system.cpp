@@ -422,12 +422,11 @@ System::run(std::uint64_t max_instructions,
     // Host-side condition polling (sweep fault isolation + cooperative
     // SIGINT/SIGTERM).  Polling the wall clock or the signal flag every
     // iteration would be measurable, so the checks run every
-    // deadlinePollStride() loop iterations (DBSIM_DEADLINE_STRIDE;
-    // default 4096) -- still sub-second reaction for any simulation
-    // actually making iterations.  The stride never affects simulated
-    // behavior, only how fast the host notices.
+    // kDeadlinePollStride loop iterations -- still sub-second reaction
+    // for any simulation actually making iterations.  The stride never
+    // affects simulated behavior, only how fast the host notices.
     const bool deadline_armed = hostDeadlineArmed();
-    const std::uint32_t poll_stride = deadlinePollStride();
+    const std::uint32_t poll_stride = kDeadlinePollStride;
     std::uint32_t poll_count = 0;
 
     // Whether a terminal condition should leave a checkpoint behind.

@@ -5,11 +5,10 @@
  * The contract under test: a run that is stopped at an arbitrary cycle,
  * checkpointed, and restored into a *fresh* machine must finish with a
  * final report, machine-state dump, and epoch-hash series identical to
- * an uninterrupted run's -- for both workloads, at 1 and 4 nodes, at
- * any checkpoint interval, and regardless of the host's deadline poll
- * stride.  (The cross-process version of the same property -- kill -9 a
- * sweep, restart with --resume --restore, compare reports -- runs in
- * the CI checkpoint job via tools/compare_reports.py.)
+ * an uninterrupted run's -- for both workloads, at 1 and 4 nodes, and
+ * at any checkpoint interval.  (The cross-process version of the same
+ * property -- kill -9 a sweep, restart with --resume, compare reports --
+ * runs in the CI checkpoint job via tools/compare_reports.py.)
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/snapshot.hpp"
 #include "core/config.hpp"
 #include "core/simulation.hpp"
@@ -301,23 +301,6 @@ TEST(Checkpoint, CorruptFileIsRejected)
     EXPECT_FALSE(b.restoreFromCheckpoint(ckpt + ".does-not-exist"));
 }
 
-/** DBSIM_DEADLINE_STRIDE only changes how often the *host* clock and
- *  signal flag are polled; a much tighter stride must leave every
- *  simulated byte unchanged. */
-TEST(Checkpoint, DeadlinePollStrideIsObservationOnly)
-{
-    const SimConfig base = smallConfig(WorkloadKind::Oltp, 2);
-    const FullRun loose = runFull(base);
-
-    ::setenv("DBSIM_DEADLINE_STRIDE", "64", 1);
-    EXPECT_EQ(sim::deadlinePollStride(), 64u);
-    const FullRun tight = runFull(base);
-    ::unsetenv("DBSIM_DEADLINE_STRIDE");
-    EXPECT_EQ(sim::deadlinePollStride(), 4096u);
-
-    expectSameOutcome(loose, tight);
-}
-
 /** The coherence checker only observes the machine: arming it leaves
  *  the results, the epoch-hash stream and the state hash unchanged (its
  *  own state is in checkpoints, not in the hashes). */
@@ -410,7 +393,7 @@ TEST(SweepCheckpoint, CheckpointedSweepMatchesPlainAndRestores)
         EXPECT_TRUE(f.good()) << "missing checkpoint for item " << i;
     }
 
-    // --restore: a re-run continues each item from its mid-run
+    // setRestore: a re-run continues each item from its mid-run
     // checkpoint and still converges to the identical final results.
     core::SweepRunner restore(1);
     restore.setStateHashInterval(2500);
@@ -421,6 +404,37 @@ TEST(SweepCheckpoint, CheckpointedSweepMatchesPlainAndRestores)
     ASSERT_TRUE(resumed.allOk());
     expectSameSweepOutcome(base, resumed);
 
+    // --resume with --checkpoint-dir implies the restore: the items the
+    // (empty) journal lacks continue from their checkpoints.  Restore is
+    // exact, so equal results alone would not show that it happened;
+    // the runner's warning does.
+    const std::string journal = tmpPath("dbsim_sweep_ckpt.journal.jsonl");
+    std::ofstream(journal, std::ios::trunc).close();
+    bench::BenchOptions opts;
+    opts.jobs = 1;
+    opts.journal_path = "none";
+    opts.resume_path = journal;
+    opts.checkpoint_dir = dir;
+    opts.checkpoint_interval = 1500;
+    opts.state_hash_interval = 2500;
+    bench::BenchContext ctx("ckpt_resume", opts);
+    testing::internal::CaptureStderr();
+    ctx.sweep("s", items);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ctx.finish(), 0);
+    core::SweepOutcome via_resume;
+    for (const core::SweepReport::Entry &e : ctx.report().entries)
+        via_resume.items.push_back(e.outcome);
+    expectSameSweepOutcome(base, via_resume);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_NE(warnings.find("sweep item " + std::to_string(i) + " (\"" +
+                                items[i].label +
+                                "\") restored from checkpoint"),
+                  std::string::npos)
+            << warnings;
+    }
+
+    std::remove(journal.c_str());
     for (std::size_t i = 0; i < items.size(); ++i)
         std::remove(restore.checkpointPathFor(i).c_str());
 }
@@ -453,35 +467,6 @@ TEST(SweepCheckpoint, ReportCarriesEpochHashesAndCheckpointPaths)
     EXPECT_NE(failed_json.find("\"checkpoint\""), std::string::npos);
     EXPECT_NE(failed_json.find("item-3.ckpt"), std::string::npos);
     EXPECT_NE(failed_json.find("\"timeout\""), std::string::npos);
-}
-
-/** FailurePolicy retry:N x timeout honesty (no checkpoint dir): a
- *  timed-out item must not burn retries that would deterministically
- *  time out again from scratch; attempts stays honest at 1. */
-TEST(SweepCheckpoint, TimeoutWithoutCheckpointDirIsNotRetried)
-{
-    std::vector<core::SweepItem> items = sweepItems();
-    items.resize(1);
-
-    core::FaultPlan plan;
-    core::FaultSpec delay;
-    delay.index = 0;
-    delay.attempt = 1;
-    delay.kind = core::FaultSpec::Kind::Delay;
-    delay.delay_seconds = 0.5;
-    plan.add(delay);
-
-    core::SweepRunner runner(1);
-    runner.setFailurePolicy(core::FailurePolicy::retry(3));
-    runner.setItemTimeout(0.05);
-    runner.setFaultPlan(&plan);
-    const core::SweepOutcome outcome = runner.runChecked(items);
-    ASSERT_EQ(outcome.items.size(), 1u);
-    ASSERT_FALSE(outcome.items[0].ok());
-    EXPECT_EQ(outcome.items[0].failure.kind, core::FailureKind::Timeout);
-    EXPECT_EQ(outcome.items[0].attempts, 1u)
-        << "without a checkpoint dir, a timeout retry would start from "
-           "scratch and time out again; attempts must stay honest";
 }
 
 } // namespace

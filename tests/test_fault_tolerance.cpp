@@ -1,14 +1,14 @@
 /**
  * @file
  * Sweep fault-tolerance layer (DESIGN.md §5e): per-item isolation under
- * collect/retry policies, failure classification, retry determinism,
- * host item deadlines, the crash-dump registry under concurrent
- * failures, the incremental journal + resume planner, and the bench
- * harness glue (flag parsing, exit codes, end-to-end resume).
+ * collect, failure classification, host item deadlines, the crash-dump
+ * registry under concurrent failures, the incremental journal + resume
+ * planner, and the bench harness glue (flag parsing, exit codes,
+ * end-to-end resume).
  *
- * Every fault is scheduled through a core::FaultPlan at an exact
- * (item, attempt) pair, never drawn at random, so each test drives the
- * same code path with the same outcome on every run.
+ * Every fault is scheduled through a core::FaultPlan at an exact item
+ * index, never drawn at random, so each test drives the same code path
+ * with the same outcome on every run.
  */
 
 #include <cstdio>
@@ -51,15 +51,12 @@ okItems(std::size_t n)
 }
 
 /** Zero the host-timing fields of a rendered entry (field-exact
- *  compare), and with `mask_attempts` the attempt count too. */
+ *  compare). */
 std::string
-normalizeEntry(std::string line, bool mask_attempts = false)
+normalizeEntry(std::string line)
 {
-    std::vector<const char *> keys = {
-        "\"wall_seconds\":", "\"sim_instructions_per_host_second\":"};
-    if (mask_attempts)
-        keys.push_back("\"attempts\":");
-    for (const char *key : keys) {
+    for (const char *key :
+         {"\"wall_seconds\":", "\"sim_instructions_per_host_second\":"}) {
         const std::size_t at = line.find(key);
         if (at == std::string::npos)
             continue;
@@ -76,71 +73,48 @@ normalizeEntry(std::string line, bool mask_attempts = false)
 // FaultPlan
 // ---------------------------------------------------------------------
 
+/** A fault matches its exact index only, and on every run of it: a
+ *  re-run of the same item (what --resume does) meets it again. */
 TEST(FaultPlan, MatchesExactIndexAndAttempt)
 {
     FaultPlan plan;
-    FaultSpec s;
-    s.index = 3;
-    s.attempt = 2;
-    s.kind = FaultSpec::Kind::Throw;
-    plan.add(s);
+    plan.fail(3, FaultSpec::Kind::Throw, "boom");
 
-    EXPECT_EQ(plan.match(3, 1), nullptr);
-    ASSERT_NE(plan.match(3, 2), nullptr);
-    EXPECT_EQ(plan.match(3, 2)->kind, FaultSpec::Kind::Throw);
-    EXPECT_EQ(plan.match(4, 2), nullptr);
-}
-
-TEST(FaultPlan, FailAttemptsExpandsInclusiveRange)
-{
-    FaultPlan plan;
-    plan.failAttempts(7, 3, FaultSpec::Kind::Panic, "boom");
-    EXPECT_EQ(plan.size(), 3u);
-    for (unsigned a = 1; a <= 3; ++a) {
-        ASSERT_NE(plan.match(7, a), nullptr) << "attempt " << a;
-        EXPECT_EQ(plan.match(7, a)->message, "boom");
-    }
-    EXPECT_EQ(plan.match(7, 4), nullptr);
+    EXPECT_EQ(plan.match(2), nullptr);
+    EXPECT_EQ(plan.match(4), nullptr);
+    ASSERT_NE(plan.match(3), nullptr);
+    EXPECT_EQ(plan.match(3)->kind, FaultSpec::Kind::Throw);
+    EXPECT_EQ(plan.match(3)->message, "boom");
 }
 
 // ---------------------------------------------------------------------
-// FailurePolicy / classification
+// Isolation and classification
 // ---------------------------------------------------------------------
-
-TEST(FailurePolicy, DescribeAndIsolating)
-{
-    EXPECT_EQ(FailurePolicy::abort().describe(), "abort");
-    EXPECT_EQ(FailurePolicy::collect().describe(), "collect");
-    EXPECT_EQ(FailurePolicy::retry(3).describe(), "retry:3");
-    EXPECT_FALSE(FailurePolicy::abort().isolating());
-    EXPECT_TRUE(FailurePolicy::collect().isolating());
-    EXPECT_TRUE(FailurePolicy::retry(2).isolating());
-    EXPECT_EQ(FailurePolicy::retry(0).max_attempts, 1u);
-}
 
 TEST(SweepFaultTolerance, CollectIsolatesPanicAsStructuredFailure)
 {
     auto items = okItems(4);
+    items[2].cfg.total_instructions = 0; // rejected by validation
     FaultPlan plan;
-    plan.failAttempts(1, 1, FaultSpec::Kind::Panic, "isolated panic");
+    plan.fail(1, FaultSpec::Kind::Panic, "isolated panic");
 
     SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::collect());
+    runner.setCollect(true);
     runner.setFaultPlan(&plan);
     const SweepOutcome out = runner.runChecked(items);
 
     ASSERT_EQ(out.items.size(), 4u);
-    EXPECT_EQ(out.failures(), 1u);
+    EXPECT_EQ(out.failures(), 2u);
     EXPECT_TRUE(out.items[0].ok());
-    EXPECT_TRUE(out.items[2].ok());
     EXPECT_TRUE(out.items[3].ok());
+    ASSERT_FALSE(out.items[2].ok());
+    EXPECT_EQ(out.items[2].failure.kind, FailureKind::Config);
 
     const SweepFailure &f = out.items[1].failure;
     EXPECT_EQ(f.index, 1u);
     EXPECT_EQ(f.label, "i1");
     EXPECT_EQ(f.kind, FailureKind::Invariant);
     EXPECT_NE(f.what.find("isolated panic"), std::string::npos);
-    EXPECT_EQ(f.attempts, 1u);
     EXPECT_NE(out.items[1].error, nullptr);
 
     // The report entry carries the structured failure.
@@ -149,71 +123,6 @@ TEST(SweepFaultTolerance, CollectIsolatesPanicAsStructuredFailure)
         << entry;
     EXPECT_NE(entry.find("\"kind\":\"invariant\""), std::string::npos)
         << entry;
-}
-
-TEST(SweepFaultTolerance, RetryReproducesUndisturbedResultsExactly)
-{
-    auto items = okItems(4);
-
-    // Rendered report entries, host timing and the attempt count (which
-    // differs for the faulted items by design) masked out.
-    const auto entries = [](const SweepOutcome &out) {
-        std::vector<std::string> lines;
-        for (const SweepItemOutcome &o : out.items)
-            lines.push_back(
-                normalizeEntry(renderSweepEntryJson("retry", o), true));
-        return lines;
-    };
-    SweepRunner clean(1);
-    clean.setFailurePolicy(FailurePolicy::collect());
-    const auto baseline = entries(clean.runChecked(items));
-
-    FaultPlan plan;
-    plan.failAttempts(1, 1, FaultSpec::Kind::Panic, "panics once");
-    plan.failAttempts(2, 1, FaultSpec::Kind::Throw, "flaky once");
-
-    for (const unsigned jobs : {1u, 8u}) {
-        SweepRunner runner(jobs);
-        runner.setFailurePolicy(FailurePolicy::retry(2));
-        runner.setFaultPlan(&plan);
-        const SweepOutcome out = runner.runChecked(items);
-
-        ASSERT_TRUE(out.allOk()) << "jobs=" << jobs;
-        EXPECT_EQ(out.items[1].attempts, 2u);
-        EXPECT_EQ(out.items[2].attempts, 2u);
-        EXPECT_EQ(entries(out), baseline) << "jobs=" << jobs;
-    }
-}
-
-TEST(SweepFaultTolerance, ConfigRejectionIsNeverRetried)
-{
-    auto items = okItems(3);
-    items[1].cfg.total_instructions = 0;
-    // Contrast: an exception that persists does burn every attempt.
-    FaultPlan plan;
-    plan.failAttempts(0, 3, FaultSpec::Kind::Throw, "always throws");
-
-    SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::retry(3));
-    runner.setFaultPlan(&plan);
-    const SweepOutcome out = runner.runChecked(items);
-
-    EXPECT_EQ(out.failures(), 2u);
-    EXPECT_EQ(out.items[1].failure.kind, FailureKind::Config);
-    EXPECT_EQ(out.items[1].attempts, 1u)
-        << "deterministic rejection must not burn retries";
-    EXPECT_EQ(out.items[0].failure.kind, FailureKind::Exception);
-    EXPECT_EQ(out.items[0].attempts, 3u);
-    EXPECT_TRUE(out.items[2].ok());
-}
-
-TEST(SweepFaultTolerance, AbortModeRunCarriesLegacySemantics)
-{
-    auto items = okItems(3);
-    items[0].cfg.total_instructions = 0;
-
-    SweepRunner runner(2); // default policy: abort
-    EXPECT_THROW(runner.run(items), ConfigError);
 }
 
 /** The deadline must let the undelayed item finish even in a sanitizer
@@ -225,13 +134,12 @@ TEST(SweepFaultTolerance, DelayedItemBecomesTimeoutWithMachineDump)
     FaultPlan plan;
     FaultSpec delay;
     delay.index = 1;
-    delay.attempt = 1;
     delay.kind = FaultSpec::Kind::Delay;
     delay.delay_seconds = 4.5;
     plan.add(delay);
 
     SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::collect());
+    runner.setCollect(true);
     runner.setItemTimeout(4.0);
     runner.setFaultPlan(&plan);
     const SweepOutcome out = runner.runChecked(items);
@@ -252,11 +160,11 @@ TEST(SweepFaultTolerance, ConcurrentPanicsYieldDistinctRecords)
 {
     auto items = okItems(4);
     FaultPlan plan;
-    plan.failAttempts(0, 1, FaultSpec::Kind::Panic, "panic-alpha");
-    plan.failAttempts(3, 1, FaultSpec::Kind::Panic, "panic-omega");
+    plan.fail(0, FaultSpec::Kind::Panic, "panic-alpha");
+    plan.fail(3, FaultSpec::Kind::Panic, "panic-omega");
 
     SweepRunner runner(4);
-    runner.setFailurePolicy(FailurePolicy::collect());
+    runner.setCollect(true);
     runner.setFaultPlan(&plan);
     const SweepOutcome out = runner.runChecked(items);
 
@@ -280,28 +188,6 @@ TEST(SweepFaultTolerance, ConcurrentPanicsYieldDistinctRecords)
 }
 
 // ---------------------------------------------------------------------
-// resolveJobs / resolveItemTimeout environment handling
-// ---------------------------------------------------------------------
-
-TEST(SweepRunnerEnv, ResolveItemTimeoutPrecedenceAndHardening)
-{
-    ASSERT_EQ(unsetenv("DBSIM_ITEM_TIMEOUT"), 0);
-    EXPECT_EQ(SweepRunner::resolveItemTimeout(0.0), 0.0);
-    EXPECT_EQ(SweepRunner::resolveItemTimeout(7.5), 7.5);
-
-    ASSERT_EQ(setenv("DBSIM_ITEM_TIMEOUT", "30", 1), 0);
-    EXPECT_EQ(SweepRunner::resolveItemTimeout(0.0), 30.0);
-    EXPECT_EQ(SweepRunner::resolveItemTimeout(5.0), 5.0); // CLI wins
-
-    for (const char *bad : {"banana", "-3", "1e9x", ""}) {
-        ASSERT_EQ(setenv("DBSIM_ITEM_TIMEOUT", bad, 1), 0);
-        EXPECT_EQ(SweepRunner::resolveItemTimeout(0.0), 0.0)
-            << "DBSIM_ITEM_TIMEOUT=\"" << bad << "\"";
-    }
-    ASSERT_EQ(unsetenv("DBSIM_ITEM_TIMEOUT"), 0);
-}
-
-// ---------------------------------------------------------------------
 // Journal + resume planner
 // ---------------------------------------------------------------------
 
@@ -310,10 +196,10 @@ TEST(SweepJournalTest, RoundTripAndTornLineTolerance)
     const std::string path = "TEST_FT_journal.jsonl";
     auto items = okItems(3);
     FaultPlan plan;
-    plan.failAttempts(1, 1, FaultSpec::Kind::Throw, "journaled failure");
+    plan.fail(1, FaultSpec::Kind::Throw, "journaled failure");
 
     SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::collect());
+    runner.setCollect(true);
     runner.setFaultPlan(&plan);
     SweepJournal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));
@@ -430,23 +316,37 @@ TEST(ResumePlanner, DuplicateLabelsConsumeJournalLinesInOrder)
     EXPECT_EQ(plan.to_run, (std::vector<std::size_t>{2}));
 }
 
-/** Resume with original indices must reproduce the clean run's per-item
- *  seeds: item i re-run in a subset still simulates as item i. */
+/** A re-run subset keeps each item's original identity: item i re-run
+ *  in a subset reports index i and uses item i's checkpoint file, which
+ *  is how a resumed item finds the checkpoint its first run left. */
 TEST(ResumePlanner, ReRunSubsetPreservesOriginalSeeds)
 {
+    const std::string dir = testing::TempDir() + "dbsim_ft_subset";
     auto items = okItems(4);
+    items[3].cfg.oltp.seed += 1; // distinct items, distinct results
     SweepRunner runner(2);
-    runner.setBaseSeed(99); // per-item seeds depend on the index
-    const auto baseline = runner.run(items);
+    runner.setCheckpointDir(dir);
+    runner.setCheckpointInterval(5000);
+    const SweepOutcome baseline = runner.runChecked(items);
+    ASSERT_TRUE(baseline.allOk());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        std::remove(runner.checkpointPathFor(i).c_str());
 
     std::vector<SweepItem> subset = {items[1], items[3]};
-    runner.setFailurePolicy(FailurePolicy::collect());
     const SweepOutcome out = runner.runChecked(subset, {1, 3});
     ASSERT_TRUE(out.allOk());
     EXPECT_EQ(out.items[0].index, 1u);
     EXPECT_EQ(out.items[1].index, 3u);
-    EXPECT_EQ(out.items[0].result.run.cycles, baseline[1].run.cycles);
-    EXPECT_EQ(out.items[1].result.run.cycles, baseline[3].run.cycles);
+    EXPECT_EQ(out.items[0].result.run.cycles,
+              baseline.items[1].result.run.cycles);
+    EXPECT_EQ(out.items[1].result.run.cycles,
+              baseline.items[3].result.run.cycles);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        std::ifstream f(runner.checkpointPathFor(i), std::ios::binary);
+        EXPECT_EQ(f.good(), i == 1 || i == 3) << "checkpoint of item " << i;
+        f.close();
+        std::remove(runner.checkpointPathFor(i).c_str());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -462,34 +362,45 @@ parse(std::vector<std::string> args)
     for (auto &a : args)
         argv.push_back(a.data());
     return bench::parseBenchArgs(static_cast<int>(argv.size()),
-                                 argv.data());
+                                 argv.data(), {"--sharing", "--dss"});
 }
 
 TEST(BenchArgs, ParsesSharedFlagsInBothForms)
 {
     const auto opts =
         parse({"--jobs", "3", "--json=out.json", "--journal", "j.jsonl",
-               "--resume=r.jsonl", "--max-retries", "2",
-               "--item-timeout-sec=45", "--on-failure", "collect",
-               "--sharing"});
+               "--resume=r.jsonl", "--item-timeout-sec=45",
+               "--on-failure", "collect", "--sharing"});
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.json_path, "out.json");
     EXPECT_EQ(opts.journal_path, "j.jsonl");
     EXPECT_EQ(opts.resume_path, "r.jsonl");
-    EXPECT_EQ(opts.max_retries, 2u);
     EXPECT_EQ(opts.item_timeout_sec, 45u);
     EXPECT_TRUE(opts.collect_failures);
-    ASSERT_EQ(opts.rest.size(), 1u);
+    ASSERT_EQ(opts.flags.size(), 1u);
     EXPECT_TRUE(opts.has("--sharing"));
+    EXPECT_FALSE(opts.has("--dss")); // declared but not given
 }
 
 TEST(BenchArgs, RejectsBadValues)
 {
     EXPECT_THROW(parse({"--jobs", "0"}), ConfigError);
     EXPECT_THROW(parse({"--jobs", "banana"}), ConfigError);
-    EXPECT_THROW(parse({"--max-retries", "-1"}), ConfigError);
     EXPECT_THROW(parse({"--on-failure", "maybe"}), ConfigError);
     EXPECT_THROW(parse({"--json"}), ConfigError); // missing value
+    // Undeclared flags, including the retired --max-retries and
+    // --restore, are rejected rather than silently ignored.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"--bogus"}, {"--max-retries", "2"},
+          {"--restore"}, {"--sharing=1"}}) {
+        try {
+            parse(args);
+            ADD_FAILURE() << args[0] << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.field(), "cli." + args[0].substr(
+                                              2, args[0].find('=') - 2));
+        }
+    }
 }
 
 TEST(BenchHarness, UnwritableReportYieldsExitOne)
@@ -498,6 +409,7 @@ TEST(BenchHarness, UnwritableReportYieldsExitOne)
     opts.json_path = "/nonexistent-dir-zz/report.json";
     opts.journal_path = "none";
     bench::BenchContext ctx("ft_exit1", opts);
+    EXPECT_EQ(ctx.report().failure_policy, "abort");
     ctx.sweep("s", okItems(1));
     EXPECT_EQ(ctx.finish(), 1);
 }
@@ -508,6 +420,7 @@ TEST(BenchHarness, CollectedFailureYieldsPartialFailureExit)
     opts.journal_path = "none";
     opts.collect_failures = true;
     bench::BenchContext ctx("ft_exit4", opts);
+    EXPECT_EQ(ctx.report().failure_policy, "collect");
     auto items = okItems(2);
     items[0].cfg.total_instructions = 0; // config rejection, collected
     const auto fresh = ctx.sweep("s", items);

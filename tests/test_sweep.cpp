@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/errors.hpp"
 #include "core/json_writer.hpp"
 #include "core/sweep.hpp"
@@ -228,6 +229,19 @@ quick(WorkloadKind kind, std::uint32_t nodes = 2)
     return cfg;
 }
 
+/** Run @p items; every item must succeed.  Results in input order. */
+std::vector<SweepResult>
+runAll(const SweepRunner &runner, const std::vector<SweepItem> &items)
+{
+    SweepOutcome out = runner.runChecked(items);
+    std::vector<SweepResult> results;
+    for (SweepItemOutcome &o : out.items) {
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        results.push_back(std::move(o.result));
+    }
+    return results;
+}
+
 /** Twelve small configurations spanning both workloads and the knobs
  *  the figure benches sweep. */
 std::vector<SweepItem>
@@ -294,8 +308,8 @@ TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
 
     SweepRunner serial(1);
     SweepRunner parallel(8);
-    const auto a = serial.run(items);
-    const auto b = parallel.run(items);
+    const auto a = runAll(serial, items);
+    const auto b = runAll(parallel, items);
     ASSERT_EQ(a.size(), items.size());
     ASSERT_EQ(b.size(), items.size());
 
@@ -357,6 +371,8 @@ TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
     }
 }
 
+/** Under abort, a bench section rethrows the lowest-index failure once
+ *  every item has run, whatever order the workers hit them in. */
 TEST(SweepRunner, LowestIndexErrorWinsUnderAnyJobCount)
 {
     std::vector<SweepItem> items;
@@ -366,36 +382,18 @@ TEST(SweepRunner, LowestIndexErrorWinsUnderAnyJobCount)
     items[5].cfg.oltp.hash_buckets = 0;  // field "oltp.hash_buckets"
 
     for (const unsigned jobs : {1u, 8u}) {
-        SweepRunner runner(jobs);
+        bench::BenchOptions opts;
+        opts.jobs = jobs;
+        opts.journal_path = "none";
+        bench::BenchContext ctx("lowest_index", opts);
         try {
-            runner.run(items);
+            ctx.sweep("s", items);
             FAIL() << "expected ConfigError (jobs=" << jobs << ")";
         } catch (const ConfigError &e) {
             EXPECT_EQ(e.field(), "total_instructions")
                 << "jobs=" << jobs;
         }
     }
-}
-
-TEST(SweepRunner, BaseSeedDerivesPerItemWorkloadSeeds)
-{
-    std::vector<SweepItem> items(2,
-                                 {"seeded", quick(WorkloadKind::Oltp, 1)});
-    SweepRunner runner(1);
-    runner.setBaseSeed(12345);
-    const auto seeded = runner.run(items);
-    // Distinct derived seeds -> the two identical configs diverge.
-    EXPECT_NE(seeded[0].run.cycles, seeded[1].run.cycles);
-
-    // Re-running with the same base seed reproduces the results.
-    const auto again = runner.run(items);
-    EXPECT_EQ(seeded[0].run.cycles, again[0].run.cycles);
-    EXPECT_EQ(seeded[1].run.cycles, again[1].run.cycles);
-
-    // Without a base seed the configs' own (equal) seeds are used.
-    SweepRunner plain(1);
-    const auto unseeded = plain.run(items);
-    EXPECT_EQ(unseeded[0].run.cycles, unseeded[1].run.cycles);
 }
 
 TEST(SweepRunner, ResolveJobsPrecedence)
@@ -427,14 +425,16 @@ TEST(SweepRunner, ResolveJobsPrecedence)
 TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
 {
     SweepRunner runner(2);
-    const auto results =
-        runner.run({{"r0", quick(WorkloadKind::Oltp, 1)},
-                    {"r1", quick(WorkloadKind::Dss, 1)}});
+    const SweepOutcome out =
+        runner.runChecked({{"r0", quick(WorkloadKind::Oltp, 1)},
+                           {"r1", quick(WorkloadKind::Dss, 1)}});
+    ASSERT_TRUE(out.allOk());
 
     SweepReport report;
     report.bench = "test_bench";
     report.jobs = runner.jobs();
-    report.add("s1", results);
+    for (const SweepItemOutcome &o : out.items)
+        report.entries.push_back({"s1", false, {}, o});
 
     std::ostringstream os;
     writeSweepJson(os, report);
@@ -445,10 +445,10 @@ TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
     ASSERT_TRUE(parseJson(doc, &parsed, &err)) << err << "\n" << doc;
     ASSERT_NE(parsed.stringAt("results.1.label"), nullptr);
     EXPECT_EQ(*parsed.stringAt("results.1.label"), "r1");
-    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v2\""),
+    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v3\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"bench\": \"test_bench\""), std::string::npos);
-    // v2 result entries are compact single-line objects (so a journal
+    // Result entries are compact single-line objects (so a journal
     // line and its report entry are byte-identical).
     EXPECT_NE(doc.find("\"label\":\"r0\""), std::string::npos);
     EXPECT_NE(doc.find("\"label\":\"r1\""), std::string::npos);

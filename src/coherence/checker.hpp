@@ -117,37 +117,29 @@ class CoherenceChecker
         if (!pending_.empty())
             throw snap::SnapshotError("snapshot: checker has undrained "
                                       "transactions");
-        w.u64(stats_.transactions);
-        w.u64(stats_.audits);
-        w.u64(stats_.violations);
-        w.u64(stats_.violating_blocks);
-        w.u64(violations_.size());
-        for (const std::string &v : violations_)
-            w.str(v);
-        w.u64(violating_blocks_.size());
-        for (Addr b : snap::sortedKeys(violating_blocks_))
-            w.u64(b);
+        stateFields(w, *this);
     }
 
     void
     restoreState(snap::Reader &r)
     {
         pending_.clear();
-        stats_.transactions = r.u64();
-        stats_.audits = r.u64();
-        stats_.violations = r.u64();
-        stats_.violating_blocks = r.u64();
-        violations_.clear();
-        const std::size_t nv = r.length(8);
-        for (std::size_t i = 0; i < nv; ++i)
-            violations_.push_back(r.str());
-        violating_blocks_.clear();
-        const std::size_t nb = r.length(8);
-        for (std::size_t i = 0; i < nb; ++i)
-            violating_blocks_.insert(r.u64());
+        stateFields(r, *this);
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.stats_.transactions);
+        ar.u64(s.stats_.audits);
+        ar.u64(s.stats_.violations);
+        ar.u64(s.stats_.violating_blocks);
+        ar.seq(s.violations_, 8, [&](auto &v) { ar.str(v); });
+        ar.sortedSet(s.violating_blocks_, 8, [&](auto &b) { ar.u64(b); });
+    }
+
     void reportViolation(Addr block, const std::string &what);
 
     bool panic_on_violation_;

@@ -237,71 +237,40 @@ class CoherenceFabric
     /** Number of tracked blocks the directory believes are cached. */
     std::size_t dirCachedEntries() const;
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        for (const NodeRes &nr : res_) {
-            nr.bus.saveState(w);
-            nr.dir.saveState(w);
-            nr.mem.saveState(w);
-        }
-        mesh_.saveState(w);
-        w.u64(dir_.size());
-        for (Addr block : snap::sortedKeys(dir_)) {
-            const DirEntry &e = dir_.at(block);
-            w.u64(block);
-            w.u32(e.sharers);
-            w.i32(e.owner);
-            w.i32(e.last_writer);
-        }
-        migratory_.saveState(w);
-        w.u64(stats_.reads_local);
-        w.u64(stats_.reads_remote);
-        w.u64(stats_.reads_dirty);
-        w.u64(stats_.writes_local);
-        w.u64(stats_.writes_remote);
-        w.u64(stats_.writes_dirty);
-        w.u64(stats_.upgrades);
-        w.u64(stats_.migratory_handoffs);
-        w.u64(stats_.invalidations_sent);
-        w.u64(stats_.writebacks);
-        w.u64(stats_.flushes);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        for (NodeRes &nr : res_) {
-            nr.bus.restoreState(r);
-            nr.dir.restoreState(r);
-            nr.mem.restoreState(r);
-        }
-        mesh_.restoreState(r);
-        dir_.clear();
-        const std::size_t n = r.length(20);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Addr block = r.u64();
-            DirEntry e;
-            e.sharers = r.u32();
-            e.owner = r.i32();
-            e.last_writer = r.i32();
-            dir_[block] = e;
-        }
-        migratory_.restoreState(r);
-        stats_.reads_local = r.u64();
-        stats_.reads_remote = r.u64();
-        stats_.reads_dirty = r.u64();
-        stats_.writes_local = r.u64();
-        stats_.writes_remote = r.u64();
-        stats_.writes_dirty = r.u64();
-        stats_.upgrades = r.u64();
-        stats_.migratory_handoffs = r.u64();
-        stats_.invalidations_sent = r.u64();
-        stats_.writebacks = r.u64();
-        stats_.flushes = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        for (auto &nr : s.res_) {
+            ar.nested(nr.bus);
+            ar.nested(nr.dir);
+            ar.nested(nr.mem);
+        }
+        ar.nested(s.mesh_);
+        ar.sortedMap(s.dir_, 20, [&](auto &block, auto &e) {
+            ar.u64(block);
+            ar.u32(e.sharers);
+            ar.i32(e.owner);
+            ar.i32(e.last_writer);
+        });
+        ar.nested(s.migratory_);
+        ar.u64(s.stats_.reads_local);
+        ar.u64(s.stats_.reads_remote);
+        ar.u64(s.stats_.reads_dirty);
+        ar.u64(s.stats_.writes_local);
+        ar.u64(s.stats_.writes_remote);
+        ar.u64(s.stats_.writes_dirty);
+        ar.u64(s.stats_.upgrades);
+        ar.u64(s.stats_.migratory_handoffs);
+        ar.u64(s.stats_.invalidations_sent);
+        ar.u64(s.stats_.writebacks);
+        ar.u64(s.stats_.flushes);
+    }
+
     struct DirEntry
     {
         std::uint32_t sharers = 0; ///< bitmask of nodes with Shared copies

@@ -101,56 +101,28 @@ class MigratoryDetector
     /** Number of distinct PCs that ever generated a migratory reference. */
     std::size_t migratoryPcs() const { return pc_refs_.size(); }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(migratory_.size());
-        for (Addr b : snap::sortedKeys(migratory_))
-            w.u64(b);
-        w.u64(line_write_refs_.size());
-        for (Addr b : snap::sortedKeys(line_write_refs_)) {
-            w.u64(b);
-            w.u64(line_write_refs_.at(b));
-        }
-        w.u64(pc_refs_.size());
-        for (Addr pc : snap::sortedKeys(pc_refs_)) {
-            w.u64(pc);
-            w.u64(pc_refs_.at(pc));
-        }
-        w.u64(stats_.shared_writes);
-        w.u64(stats_.migratory_writes);
-        w.u64(stats_.dirty_reads);
-        w.u64(stats_.migratory_dirty_reads);
-        w.u64(stats_.lines_marked);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        migratory_.clear();
-        line_write_refs_.clear();
-        pc_refs_.clear();
-        const std::size_t nm = r.length(8);
-        for (std::size_t i = 0; i < nm; ++i)
-            migratory_.insert(r.u64());
-        const std::size_t nl = r.length(16);
-        for (std::size_t i = 0; i < nl; ++i) {
-            const Addr b = r.u64();
-            line_write_refs_[b] = r.u64();
-        }
-        const std::size_t np = r.length(16);
-        for (std::size_t i = 0; i < np; ++i) {
-            const Addr pc = r.u64();
-            pc_refs_[pc] = r.u64();
-        }
-        stats_.shared_writes = r.u64();
-        stats_.migratory_writes = r.u64();
-        stats_.dirty_reads = r.u64();
-        stats_.migratory_dirty_reads = r.u64();
-        stats_.lines_marked = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        const auto counter = [&](auto &key, auto &refs) {
+            ar.u64(key);
+            ar.u64(refs);
+        };
+        ar.sortedSet(s.migratory_, 8, [&](auto &b) { ar.u64(b); });
+        ar.sortedMap(s.line_write_refs_, 16, counter);
+        ar.sortedMap(s.pc_refs_, 16, counter);
+        ar.u64(s.stats_.shared_writes);
+        ar.u64(s.stats_.migratory_writes);
+        ar.u64(s.stats_.dirty_reads);
+        ar.u64(s.stats_.migratory_dirty_reads);
+        ar.u64(s.stats_.lines_marked);
+    }
+
     static double concentration(std::vector<std::uint64_t> counts,
                                 double frac);
 

@@ -74,18 +74,15 @@ struct Breakdown
 
     void reset() { cycles.fill(0.0); }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        for (double c : cycles)
-            w.f64(c);
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
-    void
-    restoreState(snap::Reader &r)
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
     {
-        for (double &c : cycles)
-            c = r.f64();
+        for (auto &c : s.cycles)
+            ar.f64(c);
     }
 
     /** Multi-line human-readable dump. */

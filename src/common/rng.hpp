@@ -70,21 +70,18 @@ class Rng
     /** Derive an independent child stream (for per-process generators). */
     Rng fork();
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        for (std::uint64_t s : s_)
-            w.u64(s);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        for (std::uint64_t &s : s_)
-            s = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &self)
+    {
+        for (auto &s : self.s_)
+            ar.u64(s);
+    }
+
     std::uint64_t s_[4];
 };
 

@@ -55,29 +55,20 @@ class Histogram
         total_ = sum_ = 0;
     }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(counts_.size());
-        for (std::uint64_t c : counts_)
-            w.u64(c);
-        w.u64(total_);
-        w.u64(sum_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        const std::size_t n = r.length(8);
-        if (n != counts_.size())
-            throw snap::SnapshotError("snapshot: histogram bucket mismatch");
-        for (auto &c : counts_)
-            c = r.u64();
-        total_ = r.u64();
-        sum_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.fixed(s.counts_, 8, "histogram bucket",
+                 [&](auto &c) { ar.u64(c); });
+        ar.u64(s.total_);
+        ar.u64(s.sum_);
+    }
+
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;
@@ -118,29 +109,20 @@ class OccupancyTracker
 
     void reset();
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(time_at_.size());
-        for (Cycles t : time_at_)
-            w.u64(t);
-        w.u64(last_);
-        w.u32(current_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        const std::size_t n = r.length(8);
-        if (n != time_at_.size())
-            throw snap::SnapshotError("snapshot: occupancy level mismatch");
-        for (auto &t : time_at_)
-            t = r.u64();
-        last_ = r.u64();
-        current_ = r.u32();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.fixed(s.time_at_, 8, "occupancy level",
+                 [&](auto &t) { ar.u64(t); });
+        ar.u64(s.last_);
+        ar.u32(s.current_);
+    }
+
     std::vector<Cycles> time_at_;
     Cycles last_ = 0;
     std::uint32_t current_ = 0;

@@ -82,6 +82,9 @@ Simulation::restoreFromCheckpoint(const std::string &path)
         return true;
     } catch (const snap::SnapshotError &e) {
         DBSIM_WARN("ignoring unusable checkpoint ", path, ": ", e.what());
+        // A restore can stop part-way through the machine state; start
+        // over from a machine no restore has touched.
+        build();
         return false;
     }
 }
@@ -101,7 +104,7 @@ Simulation::characterize() const
     std::uint64_t br_lookups = 0, br_miss = 0;
     std::uint64_t instructions = 0;
 
-    auto &sys = const_cast<sim::System &>(*system_);
+    const sim::System &sys = *system_;
     for (std::uint32_t i = 0; i < sys.numNodes(); ++i) {
         const auto &ns = sys.node(i).stats();
         fetches += ns.l1i_fetches;

@@ -58,8 +58,9 @@ class Simulation
      * Restore the machine from a checkpoint file.  Returns true on
      * success; a missing file returns false (caller starts fresh), and
      * an unusable file (corrupt, version or config mismatch) logs a
-     * warning and also returns false -- a stale checkpoint must never
-     * turn a runnable item into a failure.  Builds the machine first if
+     * warning, rebuilds the machine fresh and also returns false -- a
+     * stale checkpoint must never turn a runnable item into a failure,
+     * nor leave it running on a half-restored machine.  Builds the machine first if
      * needed.
      */
     bool restoreFromCheckpoint(const std::string &path);
@@ -72,8 +73,6 @@ class Simulation
 
     /** Per-node hot-lock addresses (OLTP only; for hint studies). */
     std::vector<Addr> hotLocks() const;
-
-    const SimConfig &config() const { return cfg_; }
 
   private:
     void build();

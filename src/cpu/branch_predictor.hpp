@@ -92,86 +92,38 @@ class BranchPredictor
     /** Zero the counters; predictor tables are preserved. */
     void resetStats() { stats_ = BranchPredStats{}; }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(local_hist_.size());
-        for (std::uint16_t h : local_hist_)
-            w.u16(h);
-        w.u64(local_pht_.size());
-        for (std::uint8_t c : local_pht_)
-            w.u8(c);
-        w.u64(global_pht_.size());
-        for (std::uint8_t c : global_pht_)
-            w.u8(c);
-        w.u64(chooser_.size());
-        for (std::uint8_t c : chooser_)
-            w.u8(c);
-        w.u32(ghr_);
-        w.u64(btb_.size());
-        for (const BtbWay &way : btb_) {
-            w.u64(way.tag);
-            w.u64(way.target);
-            w.u64(way.lru);
-            w.boolean(way.valid);
-        }
-        w.u64(btb_stamp_);
-        w.u64(ras_.size());
-        for (Addr a : ras_)
-            w.u64(a);
-        w.u32(ras_top_);
-        w.u32(ras_count_);
-        w.u64(stats_.cond_lookups);
-        w.u64(stats_.cond_mispredicts);
-        w.u64(stats_.jmp_lookups);
-        w.u64(stats_.jmp_mispredicts);
-        w.u64(stats_.ret_lookups);
-        w.u64(stats_.ret_mispredicts);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        auto fixedLen = [&r](std::size_t expect, std::size_t elem) {
-            if (r.length(elem) != expect)
-                throw snap::SnapshotError("snapshot: branch-predictor "
-                                          "geometry mismatch");
-        };
-        fixedLen(local_hist_.size(), 2);
-        for (std::uint16_t &h : local_hist_)
-            h = r.u16();
-        fixedLen(local_pht_.size(), 1);
-        for (std::uint8_t &c : local_pht_)
-            c = r.u8();
-        fixedLen(global_pht_.size(), 1);
-        for (std::uint8_t &c : global_pht_)
-            c = r.u8();
-        fixedLen(chooser_.size(), 1);
-        for (std::uint8_t &c : chooser_)
-            c = r.u8();
-        ghr_ = r.u32();
-        fixedLen(btb_.size(), 25);
-        for (BtbWay &way : btb_) {
-            way.tag = r.u64();
-            way.target = r.u64();
-            way.lru = r.u64();
-            way.valid = r.boolean();
-        }
-        btb_stamp_ = r.u64();
-        fixedLen(ras_.size(), 8);
-        for (Addr &a : ras_)
-            a = r.u64();
-        ras_top_ = r.u32();
-        ras_count_ = r.u32();
-        stats_.cond_lookups = r.u64();
-        stats_.cond_mispredicts = r.u64();
-        stats_.jmp_lookups = r.u64();
-        stats_.jmp_mispredicts = r.u64();
-        stats_.ret_lookups = r.u64();
-        stats_.ret_mispredicts = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        const char *geometry = "branch-predictor geometry";
+        ar.fixed(s.local_hist_, 2, geometry, [&](auto &h) { ar.u16(h); });
+        ar.fixed(s.local_pht_, 1, geometry, [&](auto &c) { ar.u8(c); });
+        ar.fixed(s.global_pht_, 1, geometry, [&](auto &c) { ar.u8(c); });
+        ar.fixed(s.chooser_, 1, geometry, [&](auto &c) { ar.u8(c); });
+        ar.u32(s.ghr_);
+        ar.fixed(s.btb_, 25, geometry, [&](auto &way) {
+            ar.u64(way.tag);
+            ar.u64(way.target);
+            ar.u64(way.lru);
+            ar.boolean(way.valid);
+        });
+        ar.u64(s.btb_stamp_);
+        ar.fixed(s.ras_, 8, geometry, [&](auto &a) { ar.u64(a); });
+        ar.u32(s.ras_top_);
+        ar.u32(s.ras_count_);
+        ar.u64(s.stats_.cond_lookups);
+        ar.u64(s.stats_.cond_mispredicts);
+        ar.u64(s.stats_.jmp_lookups);
+        ar.u64(s.stats_.jmp_mispredicts);
+        ar.u64(s.stats_.ret_lookups);
+        ar.u64(s.stats_.ret_mispredicts);
+    }
+
     bool predictConditional(Addr pc, bool taken);
     bool predictIndirect(Addr pc, Addr target, bool is_call);
     bool predictReturn(Addr target);

@@ -53,27 +53,21 @@ class FuncUnitPool
 
     std::uint64_t structuralStalls() const { return structural_stalls_; }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(cycle_);
-        w.u32(int_used_);
-        w.u32(fp_used_);
-        w.u32(addr_used_);
-        w.u64(structural_stalls_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        cycle_ = r.u64();
-        int_used_ = r.u32();
-        fp_used_ = r.u32();
-        addr_used_ = r.u32();
-        structural_stalls_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.cycle_);
+        ar.u32(s.int_used_);
+        ar.u32(s.fp_used_);
+        ar.u32(s.addr_used_);
+        ar.u64(s.structural_stalls_);
+    }
+
     void rollCycle(Cycles now);
 
     FuncUnitParams p_;

@@ -927,76 +927,81 @@ constexpr ProcId kNoProcId = ~ProcId{0};
 
 } // namespace
 
+template <class Ar, class Self>
+void
+Core::stateFields(Ar &ar, Self &s)
+{
+    ar.u64(s.fetch_line_);
+    ar.u64(s.fetch_pending_line_);
+    ar.u64(s.fetch_ready_at_);
+    ar.boolean(s.fetch_itlb_miss_);
+    ar.u64(s.unresolved_branch_seq_);
+    ar.u64(s.fetch_resume_at_);
+    ar.boolean(s.syscall_fetch_block_);
+    ar.u64(s.run_resume_at_);
+    ar.boolean(s.done_notified_);
+
+    ar.seq(s.window_, 28, [&](auto &e) {
+        trace::recordFields(ar, e.rec);
+        ar.u64(e.seq);
+        ar.boolean(e.issued);
+        ar.boolean(e.completed);
+        ar.u64(e.complete_at);
+        ar.u64(e.addr_ready_at);
+        ar.boolean(e.mem_issued);
+        ar.boolean(e.performed);
+        ar.u64(e.performed_at);
+        ar.u8(e.cls);
+        ar.boolean(e.dtlb_miss);
+        ar.u64(e.pblock);
+        ar.boolean(e.speculative);
+        ar.boolean(e.violated);
+        ar.boolean(e.prefetched);
+        ar.boolean(e.predicted);
+        ar.boolean(e.mispredicted);
+        ar.u64(e.spin_retry_at);
+        ar.u64(e.spin_start);
+    });
+    ar.u64(s.head_seq_);
+    ar.u64(s.next_seq_);
+    ar.u32(s.unresolved_branches_);
+    ar.u64(s.issue_block_until_);
+    ar.u64(s.mem_retry_at_);
+    ar.boolean(s.progress_);
+
+    ar.seq(s.wb_, 29, [&](auto &e) {
+        ar.u64(e.vaddr);
+        ar.u64(e.pc);
+        ar.u32(e.epoch);
+        ar.boolean(e.is_release);
+        ar.boolean(e.is_flush);
+        ar.boolean(e.issued);
+        ar.boolean(e.performed);
+        ar.u64(e.performed_at);
+    });
+    ar.u32(s.wmb_epoch_);
+
+    ar.nested(s.breakdown_);
+    ar.u64(s.stats_.instructions);
+    ar.u64(s.stats_.loads);
+    ar.u64(s.stats_.stores);
+    ar.u64(s.stats_.spec_load_violations);
+    ar.u64(s.stats_.lock_yields);
+    ar.u64(s.stats_.lock_spin_retries);
+    ar.u64(s.stats_.context_switches);
+    ar.u64(s.stats_.run_cycles);
+    ar.nested(s.bpred_);
+    ar.nested(s.fu_);
+}
+
 void
 Core::saveState(snap::Writer &w) const
 {
     w.u32(proc_ ? proc_->id() : kNoProcId);
     w.boolean(pending_.has_value());
     if (pending_)
-        saveRecord(w, *pending_);
-    w.u64(fetch_line_);
-    w.u64(fetch_pending_line_);
-    w.u64(fetch_ready_at_);
-    w.boolean(fetch_itlb_miss_);
-    w.u64(unresolved_branch_seq_);
-    w.u64(fetch_resume_at_);
-    w.boolean(syscall_fetch_block_);
-    w.u64(run_resume_at_);
-    w.boolean(done_notified_);
-
-    w.u64(window_.size());
-    for (const WindowEntry &e : window_) {
-        saveRecord(w, e.rec);
-        w.u64(e.seq);
-        w.boolean(e.issued);
-        w.boolean(e.completed);
-        w.u64(e.complete_at);
-        w.u64(e.addr_ready_at);
-        w.boolean(e.mem_issued);
-        w.boolean(e.performed);
-        w.u64(e.performed_at);
-        w.u8(static_cast<std::uint8_t>(e.cls));
-        w.boolean(e.dtlb_miss);
-        w.u64(e.pblock);
-        w.boolean(e.speculative);
-        w.boolean(e.violated);
-        w.boolean(e.prefetched);
-        w.boolean(e.predicted);
-        w.boolean(e.mispredicted);
-        w.u64(e.spin_retry_at);
-        w.u64(e.spin_start);
-    }
-    w.u64(head_seq_);
-    w.u64(next_seq_);
-    w.u32(unresolved_branches_);
-    w.u64(issue_block_until_);
-    w.u64(mem_retry_at_);
-    w.boolean(progress_);
-
-    w.u64(wb_.size());
-    for (const WbEntry &e : wb_) {
-        w.u64(e.vaddr);
-        w.u64(e.pc);
-        w.u32(e.epoch);
-        w.boolean(e.is_release);
-        w.boolean(e.is_flush);
-        w.boolean(e.issued);
-        w.boolean(e.performed);
-        w.u64(e.performed_at);
-    }
-    w.u32(wmb_epoch_);
-
-    breakdown_.saveState(w);
-    w.u64(stats_.instructions);
-    w.u64(stats_.loads);
-    w.u64(stats_.stores);
-    w.u64(stats_.spec_load_violations);
-    w.u64(stats_.lock_yields);
-    w.u64(stats_.lock_spin_retries);
-    w.u64(stats_.context_switches);
-    w.u64(stats_.run_cycles);
-    bpred_.saveState(w);
-    fu_.saveState(w);
+        trace::recordFields(w, *pending_);
+    stateFields(w, *this);
 }
 
 void
@@ -1009,76 +1014,8 @@ Core::restoreState(snap::Reader &r,
         throw snap::SnapshotError("snapshot: unresolvable running process");
     pending_.reset();
     if (r.boolean())
-        pending_ = trace::loadRecord(r);
-    fetch_line_ = r.u64();
-    fetch_pending_line_ = r.u64();
-    fetch_ready_at_ = r.u64();
-    fetch_itlb_miss_ = r.boolean();
-    unresolved_branch_seq_ = r.u64();
-    fetch_resume_at_ = r.u64();
-    syscall_fetch_block_ = r.boolean();
-    run_resume_at_ = r.u64();
-    done_notified_ = r.boolean();
-
-    window_.clear();
-    const std::size_t nw = r.length(28);
-    for (std::size_t i = 0; i < nw; ++i) {
-        WindowEntry e;
-        e.rec = trace::loadRecord(r);
-        e.seq = r.u64();
-        e.issued = r.boolean();
-        e.completed = r.boolean();
-        e.complete_at = r.u64();
-        e.addr_ready_at = r.u64();
-        e.mem_issued = r.boolean();
-        e.performed = r.boolean();
-        e.performed_at = r.u64();
-        e.cls = static_cast<coher::AccessClass>(r.u8());
-        e.dtlb_miss = r.boolean();
-        e.pblock = r.u64();
-        e.speculative = r.boolean();
-        e.violated = r.boolean();
-        e.prefetched = r.boolean();
-        e.predicted = r.boolean();
-        e.mispredicted = r.boolean();
-        e.spin_retry_at = r.u64();
-        e.spin_start = r.u64();
-        window_.push_back(e);
-    }
-    head_seq_ = r.u64();
-    next_seq_ = r.u64();
-    unresolved_branches_ = r.u32();
-    issue_block_until_ = r.u64();
-    mem_retry_at_ = r.u64();
-    progress_ = r.boolean();
-
-    wb_.clear();
-    const std::size_t nwb = r.length(29);
-    for (std::size_t i = 0; i < nwb; ++i) {
-        WbEntry e{};
-        e.vaddr = r.u64();
-        e.pc = r.u64();
-        e.epoch = r.u32();
-        e.is_release = r.boolean();
-        e.is_flush = r.boolean();
-        e.issued = r.boolean();
-        e.performed = r.boolean();
-        e.performed_at = r.u64();
-        wb_.push_back(e);
-    }
-    wmb_epoch_ = r.u32();
-
-    breakdown_.restoreState(r);
-    stats_.instructions = r.u64();
-    stats_.loads = r.u64();
-    stats_.stores = r.u64();
-    stats_.spec_load_violations = r.u64();
-    stats_.lock_yields = r.u64();
-    stats_.lock_spin_retries = r.u64();
-    stats_.context_switches = r.u64();
-    stats_.run_cycles = r.u64();
-    bpred_.restoreState(r);
-    fu_.restoreState(r);
+        trace::recordFields(r, pending_.emplace());
+    stateFields(r, *this);
 }
 
 } // namespace dbsim::cpu

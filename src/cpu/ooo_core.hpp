@@ -145,7 +145,6 @@ class Core
     const Breakdown &breakdown() const { return breakdown_; }
     const CoreStats &stats() const { return stats_; }
     const BranchPredStats &branchStats() const { return bpred_.stats(); }
-    const FuncUnitPool &funcUnits() const { return fu_; }
 
     /** Zero statistical state (architectural state is preserved). */
     void resetStats();
@@ -162,6 +161,11 @@ class Core
 
   private:
     static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+    /** Every serialized field after the running process and the
+     *  pending record, which save/restore handle around it. */
+    template <class Ar, class Self>
+    static void stateFields(Ar &ar, Self &s);
 
     struct WindowEntry
     {
@@ -220,7 +224,6 @@ class Core
     StallCat classifyHead() const;
     StallCat readCat(const WindowEntry &e) const;
     bool wbAllPerformed() const;
-    std::uint32_t minUnperformedEpoch() const;
     const WindowEntry *entryFor(std::uint64_t seq) const;
     std::uint32_t memOpsInFlight() const;
 

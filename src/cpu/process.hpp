@@ -76,38 +76,26 @@ class ProcessContext
     std::uint64_t fetched() const { return fetched_; }
 
     /** Context state only; the trace source serializes separately. */
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u8(static_cast<std::uint8_t>(state));
-        w.u64(wake_at);
-        w.u64(retired);
-        w.u64(undo_.size());
-        for (const trace::TraceRecord &rec : undo_)
-            saveRecord(w, rec);
-        w.boolean(src_exhausted_);
-        w.u64(fetched_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        state = static_cast<ProcState>(r.u8());
-        wake_at = r.u64();
-        retired = r.u64();
-        undo_.clear();
-        const std::size_t n = r.length(28);
-        for (std::size_t i = 0; i < n; ++i)
-            undo_.push_back(trace::loadRecord(r));
-        src_exhausted_ = r.boolean();
-        fetched_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
     ProcState state = ProcState::Ready;
     Cycles wake_at = 0;          ///< for Blocked processes
     std::uint64_t retired = 0;   ///< instructions retired
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u8(s.state);
+        ar.u64(s.wake_at);
+        ar.u64(s.retired);
+        ar.seq(s.undo_, 28, [&](auto &rec) { trace::recordFields(ar, rec); });
+        ar.boolean(s.src_exhausted_);
+        ar.u64(s.fetched_);
+    }
+
     ProcId id_;
     trace::TraceSource *src_;
     std::deque<trace::TraceRecord> undo_;

@@ -50,25 +50,20 @@ class Resource
     Cycles totalWait() const { return total_wait_; }
     std::uint64_t acquisitions() const { return acquisitions_; }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(busy_until_);
-        w.u64(total_held_);
-        w.u64(total_wait_);
-        w.u64(acquisitions_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        busy_until_ = r.u64();
-        total_held_ = r.u64();
-        total_wait_ = r.u64();
-        acquisitions_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.busy_until_);
+        ar.u64(s.total_held_);
+        ar.u64(s.total_wait_);
+        ar.u64(s.acquisitions_);
+    }
+
     Cycles busy_until_ = 0;
     Cycles total_held_ = 0;
     Cycles total_wait_ = 0;
@@ -130,25 +125,18 @@ class Mesh
     /** Aggregate queueing delay experienced on all links (contention). */
     Cycles totalLinkWait() const;
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(links_.size());
-        for (const Resource &res : links_)
-            res.saveState(w);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        const std::size_t n = r.length(32);
-        if (n != links_.size())
-            throw snap::SnapshotError("snapshot: mesh geometry mismatch");
-        for (Resource &res : links_)
-            res.restoreState(r);
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.fixed(s.links_, 32, "mesh geometry",
+                 [&](auto &res) { ar.nested(res); });
+    }
+
     std::uint32_t xOf(std::uint32_t node) const { return node % width_; }
     std::uint32_t yOf(std::uint32_t node) const { return node / width_; }
     Resource &link(std::uint32_t from, std::uint32_t to);

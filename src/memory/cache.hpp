@@ -75,40 +75,28 @@ class CacheArray
     CoherState invalidate(Addr addr);
 
     std::uint32_t lineBytes() const { return line_bytes_; }
-    std::uint64_t sizeBytes() const { return size_; }
     std::uint32_t assoc() const { return assoc_; }
     std::uint32_t numSets() const { return sets_; }
 
     /** Number of valid lines (for tests / occupancy checks). */
     std::uint64_t validLines() const;
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(ways_.size());
-        for (const Way &way : ways_) {
-            w.u64(way.tag);
-            w.u8(static_cast<std::uint8_t>(way.state));
-            w.u64(way.lru);
-        }
-        w.u64(stamp_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        const std::size_t n = r.length(17);
-        if (n != ways_.size())
-            throw snap::SnapshotError("snapshot: cache geometry mismatch");
-        for (Way &way : ways_) {
-            way.tag = r.u64();
-            way.state = static_cast<CoherState>(r.u8());
-            way.lru = r.u64();
-        }
-        stamp_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.fixed(s.ways_, 17, "cache geometry", [&](auto &way) {
+            ar.u64(way.tag);
+            ar.u8(way.state);
+            ar.u64(way.lru);
+        });
+        ar.u64(s.stamp_);
+    }
+
     struct Way
     {
         Addr tag = 0;
@@ -120,7 +108,6 @@ class CacheArray
     Way *find(Addr addr);
     const Way *find(Addr addr) const;
 
-    std::uint64_t size_;
     std::uint32_t assoc_;
     std::uint32_t line_bytes_;
     std::uint32_t sets_;

@@ -32,24 +32,18 @@ struct MshrStats
     stats::OccupancyTracker occupancy{64};      ///< all misses
     stats::OccupancyTracker read_occupancy{64}; ///< read misses only
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(allocations);
-        w.u64(coalesced);
-        w.u64(full_stalls);
-        occupancy.saveState(w);
-        read_occupancy.saveState(w);
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
-    void
-    restoreState(snap::Reader &r)
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
     {
-        allocations = r.u64();
-        coalesced = r.u64();
-        full_stalls = r.u64();
-        occupancy.restoreState(r);
-        read_occupancy.restoreState(r);
+        ar.u64(s.allocations);
+        ar.u64(s.coalesced);
+        ar.u64(s.full_stalls);
+        ar.nested(s.occupancy);
+        ar.nested(s.read_occupancy);
     }
 };
 
@@ -124,47 +118,32 @@ class MshrFile
     const MshrStats &stats() const { return stats_; }
     MshrStats &stats() { return stats_; }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(entries_.size());
-        for (const Entry &e : entries_) {
-            w.u64(e.block);
-            w.u64(e.done);
-            w.boolean(e.is_read);
-            w.boolean(e.has_write);
-            w.u8(e.tag);
-        }
-        w.u64(stalled_blocks_.size());
-        for (Addr b : stalled_blocks_)
-            w.u64(b);
-        stats_.saveState(w);
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
 
     void
     restoreState(snap::Reader &r)
     {
-        const std::size_t n = r.length(19);
-        if (n > capacity_)
+        stateFields(r, *this);
+        if (entries_.size() > capacity_)
             throw snap::SnapshotError("snapshot: MSHR capacity mismatch");
-        entries_.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            Entry e;
-            e.block = r.u64();
-            e.done = r.u64();
-            e.is_read = r.boolean();
-            e.has_write = r.boolean();
-            e.tag = r.u8();
-            entries_.push_back(e);
-        }
-        const std::size_t s = r.length(8);
-        stalled_blocks_.clear();
-        for (std::size_t i = 0; i < s; ++i)
-            stalled_blocks_.push_back(r.u64());
-        stats_.restoreState(r);
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.seq(s.entries_, 19, [&](auto &e) {
+            ar.u64(e.block);
+            ar.u64(e.done);
+            ar.boolean(e.is_read);
+            ar.boolean(e.has_write);
+            ar.u8(e.tag);
+        });
+        ar.seq(s.stalled_blocks_, 8, [&](auto &b) { ar.u64(b); });
+        ar.nested(s.stats_);
+    }
+
     struct Entry
     {
         Addr block;

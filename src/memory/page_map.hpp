@@ -47,47 +47,26 @@ class PageMap
     /** Home node of the physical address @p paddr. */
     std::uint32_t homeOf(Addr paddr) const;
 
-    std::uint32_t pageBytes() const { return page_bytes_; }
-
     /** Number of distinct pages touched so far. */
     std::uint64_t pagesTouched() const { return map_.size(); }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(next_seq_);
-        w.u64(map_.size());
-        for (Addr vpage : snap::sortedKeys(map_)) {
-            const Phys &ph = map_.at(vpage);
-            w.u64(vpage);
-            w.u64(ph.ppage);
-            w.u32(ph.home);
-        }
-        w.u64(home_by_ppage_.size());
-        for (std::uint32_t h : home_by_ppage_)
-            w.u32(h);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        next_seq_ = r.u64();
-        map_.clear();
-        const std::size_t n = r.length(20);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Addr vpage = r.u64();
-            Phys ph;
-            ph.ppage = r.u64();
-            ph.home = r.u32();
-            map_[vpage] = ph;
-        }
-        const std::size_t m = r.length(4);
-        home_by_ppage_.assign(m, 0);
-        for (std::size_t i = 0; i < m; ++i)
-            home_by_ppage_[i] = r.u32();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.next_seq_);
+        ar.sortedMap(s.map_, 20, [&](auto &vpage, auto &ph) {
+            ar.u64(vpage);
+            ar.u64(ph.ppage);
+            ar.u32(ph.home);
+        });
+        ar.seq(s.home_by_ppage_, 4, [&](auto &h) { ar.u32(h); });
+    }
+
     struct Phys
     {
         Addr ppage;

@@ -89,44 +89,27 @@ class StreamBuffer
 
     const StreamBufferStats &stats() const { return stats_; }
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(fifo_.size());
-        for (const Entry &e : fifo_) {
-            w.u64(e.block);
-            w.u64(e.ready);
-            w.boolean(e.valid);
-        }
-        w.u64(next_block_);
-        w.u64(stats_.probes);
-        w.u64(stats_.hits);
-        w.u64(stats_.flushes);
-        w.u64(stats_.prefetches);
-        w.u64(stats_.useless);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        const std::size_t n = r.length(17);
-        if (n != fifo_.size())
-            throw snap::SnapshotError("snapshot: stream-buffer depth "
-                                      "mismatch");
-        for (Entry &e : fifo_) {
-            e.block = r.u64();
-            e.ready = r.u64();
-            e.valid = r.boolean();
-        }
-        next_block_ = r.u64();
-        stats_.probes = r.u64();
-        stats_.hits = r.u64();
-        stats_.flushes = r.u64();
-        stats_.prefetches = r.u64();
-        stats_.useless = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.fixed(s.fifo_, 17, "stream-buffer depth", [&](auto &e) {
+            ar.u64(e.block);
+            ar.u64(e.ready);
+            ar.boolean(e.valid);
+        });
+        ar.u64(s.next_block_);
+        ar.u64(s.stats_.probes);
+        ar.u64(s.stats_.hits);
+        ar.u64(s.stats_.flushes);
+        ar.u64(s.stats_.prefetches);
+        ar.u64(s.stats_.useless);
+    }
+
     struct Entry
     {
         Addr block = kNoAddr;

@@ -62,34 +62,23 @@ class Tlb
 
     void reset();
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u64(stamp_);
-        w.u64(map_.size());
-        for (Addr vpage : snap::sortedKeys(map_)) {
-            w.u64(vpage);
-            w.u64(map_.at(vpage));
-        }
-        w.u64(stats_.accesses);
-        w.u64(stats_.misses);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        stamp_ = r.u64();
-        map_.clear();
-        const std::size_t n = r.length(16);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Addr vpage = r.u64();
-            map_[vpage] = r.u64();
-        }
-        stats_.accesses = r.u64();
-        stats_.misses = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.stamp_);
+        ar.sortedMap(s.map_, 16, [&](auto &vpage, auto &stamp) {
+            ar.u64(vpage);
+            ar.u64(stamp);
+        });
+        ar.u64(s.stats_.accesses);
+        ar.u64(s.stats_.misses);
+    }
+
     std::uint32_t entries_;
     std::uint32_t page_shift_;
     std::uint64_t stamp_ = 0;

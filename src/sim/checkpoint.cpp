@@ -135,113 +135,92 @@ System::configSignature() const
     return w.hash();
 }
 
+template <class Ar, class Self>
+void
+System::stateFields(Ar &ar, Self &s, bool with_checker)
+{
+    ar.u64(s.now_);
+    ar.u64(s.retired_before_reset_);
+    ar.u64(s.window_start_);
+
+    // Run-loop carry state (see the member comment in system.hpp).
+    ar.boolean(s.warmed_);
+    ar.u64(s.wd_last_retired_);
+    ar.u64(s.wd_last_progress_);
+
+    // Simulated-environment lock table, sorted for byte stability.
+    ar.sortedMap(s.lock_holder_, 12, [&](auto &addr, auto &holder) {
+        ar.u64(addr);
+        ar.u32(holder);
+    });
+
+    // Per-CPU scheduling glue.
+    auto ncpus = static_cast<std::uint32_t>(s.cpus_.size());
+    ar.u32(ncpus);
+    if (ncpus != s.cpus_.size())
+        throw snap::SnapshotError("snapshot: CPU count mismatch");
+    for (auto &cs : s.cpus_) {
+        ar.u8(cs.pending);
+        ar.u64(cs.pending_latency);
+        ar.u64(cs.run_start);
+        ar.boolean(cs.ever_ran);
+    }
+
+    const std::function<cpu::ProcessContext *(ProcId)> resolve =
+        [&s](ProcId id) -> cpu::ProcessContext * {
+        return id < s.procs_.size() ? s.procs_[id].get() : nullptr;
+    };
+
+    ar.nested(s.page_map_);
+    ar.nested(s.fabric_);
+    ar.nested(s.sched_, resolve);
+
+    // Without the checker section the stream reads as "no checker".  A
+    // restore (with_checker) requires the section exactly when this
+    // machine has a checker.
+    const bool want_section = with_checker && s.checker_ != nullptr;
+    bool checker_section = want_section;
+    ar.boolean(checker_section);
+    if (checker_section != want_section) {
+        throw snap::SnapshotError(
+            "snapshot: coherence-checker presence mismatch (was the "
+            "checkpoint taken under a different DBSIM_CHECK setting?)");
+    }
+    if (checker_section)
+        ar.nested(*s.checker_);
+
+    for (auto &cs : s.cpus_) {
+        ar.nested(*cs.node);
+        ar.nested(*cs.core, resolve);
+    }
+
+    ar.fixed(s.procs_, 0, "process count", [&](auto &p) { ar.nested(*p); });
+    for (auto &src : s.sources_)
+        ar.nested(*src);
+}
+
 void
 System::serializeState(snap::Writer &w, bool with_checker) const
 {
-    w.u64(now_);
-    w.u64(retired_before_reset_);
-    w.u64(window_start_);
-
-    // Run-loop carry state (see the member comment in system.hpp).
-    w.boolean(warmed_);
-    w.u64(wd_last_retired_);
-    w.u64(wd_last_progress_);
-
-    // Simulated-environment lock table, sorted for byte stability.
-    w.u64(lock_holder_.size());
-    for (Addr addr : snap::sortedKeys(lock_holder_)) {
-        w.u64(addr);
-        w.u32(lock_holder_.at(addr));
-    }
-
-    // Per-CPU scheduling glue.
-    w.u32(static_cast<std::uint32_t>(cpus_.size()));
-    for (const CpuState &cs : cpus_) {
-        w.u8(static_cast<std::uint8_t>(cs.pending));
-        w.u64(cs.pending_latency);
-        w.u64(cs.run_start);
-        w.boolean(cs.ever_ran);
-    }
-
-    page_map_.saveState(w);
-    fabric_.saveState(w);
-    sched_.saveState(w);
-
-    // Without the checker section the stream reads as "no checker".
-    const bool checker_section = with_checker && checker_ != nullptr;
-    w.boolean(checker_section);
-    if (checker_section)
-        checker_->saveState(w);
-
-    for (const CpuState &cs : cpus_) {
-        cs.node->saveState(w);
-        cs.core->saveState(w);
-    }
-
-    w.u64(procs_.size());
-    for (const auto &p : procs_)
-        p->saveState(w);
-    for (const auto &s : sources_)
-        s->saveState(w);
+    stateFields(w, *this, with_checker);
 }
 
 void
 System::deserializeState(snap::Reader &r)
 {
-    now_ = r.u64();
-    retired_before_reset_ = r.u64();
-    window_start_ = r.u64();
-
-    warmed_ = r.boolean();
-    wd_last_retired_ = r.u64();
-    wd_last_progress_ = r.u64();
-
-    lock_holder_.clear();
-    const std::size_t nlocks = r.length(12);
-    for (std::size_t i = 0; i < nlocks; ++i) {
-        const Addr addr = r.u64();
-        lock_holder_[addr] = r.u32();
-    }
-
-    if (r.u32() != cpus_.size())
-        throw snap::SnapshotError("snapshot: CPU count mismatch");
-    for (CpuState &cs : cpus_) {
-        cs.pending = static_cast<Pending>(r.u8());
-        cs.pending_latency = r.u64();
-        cs.run_start = r.u64();
-        cs.ever_ran = r.boolean();
-    }
-
-    const auto resolve = [this](ProcId id) -> cpu::ProcessContext * {
-        return id < procs_.size() ? procs_[id].get() : nullptr;
-    };
-
-    page_map_.restoreState(r);
-    fabric_.restoreState(r);
-    sched_.restoreState(r, resolve);
-
-    const bool had_checker = r.boolean();
-    if (had_checker != (checker_ != nullptr)) {
-        throw snap::SnapshotError(
-            "snapshot: coherence-checker presence mismatch (was the "
-            "checkpoint taken under a different DBSIM_CHECK setting?)");
-    }
-    if (checker_)
-        checker_->restoreState(r);
-
-    for (CpuState &cs : cpus_) {
-        cs.node->restoreState(r);
-        cs.core->restoreState(r, resolve);
-    }
-
-    if (r.u64() != procs_.size())
-        throw snap::SnapshotError("snapshot: process count mismatch");
-    for (const auto &p : procs_)
-        p->restoreState(r);
-    for (const auto &s : sources_)
-        s->restoreState(r);
-
+    stateFields(r, *this, /*with_checker=*/true);
     carry_valid_ = true;
+}
+
+template <class Ar, class Self>
+void
+System::epochFields(Ar &ar, Self &s)
+{
+    ar.u64(s.epoch_next_);
+    ar.seq(s.epoch_hashes_, 16, [&](auto &eh) {
+        ar.u64(eh.epoch);
+        ar.u64(eh.hash);
+    });
 }
 
 std::uint64_t
@@ -266,12 +245,7 @@ System::saveCheckpoint(const std::string &path) const
     // Epoch bookkeeping rides outside the machine state so stateHash()
     // stays insensitive to the hashing knobs, but restored runs still
     // continue the recorded hash series seamlessly.
-    w.u64(epoch_next_);
-    w.u64(epoch_hashes_.size());
-    for (const EpochHash &eh : epoch_hashes_) {
-        w.u64(eh.epoch);
-        w.u64(eh.hash);
-    }
+    epochFields(w, *this);
 
     w.u64(w.hash()); // whole-file integrity trailer
 
@@ -341,17 +315,7 @@ System::restoreCheckpoint(const std::string &path)
     }
 
     deserializeState(r);
-
-    epoch_next_ = r.u64();
-    epoch_hashes_.clear();
-    const std::size_t nh = r.length(16);
-    epoch_hashes_.reserve(nh);
-    for (std::size_t i = 0; i < nh; ++i) {
-        EpochHash eh;
-        eh.epoch = r.u64();
-        eh.hash = r.u64();
-        epoch_hashes_.push_back(eh);
-    }
+    epochFields(r, *this);
 
     if (!r.atEnd()) {
         throw snap::SnapshotError(

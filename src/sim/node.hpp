@@ -73,18 +73,6 @@ struct NodeStats
     std::uint64_t l2_delayed_hits = 0;
     std::uint64_t prefetches_dropped = 0;
     std::uint64_t flush_hints = 0;
-
-    double
-    l1dMissRate() const
-    {
-        return l1d_accesses ? double(l1d_misses) / double(l1d_accesses) : 0.0;
-    }
-
-    double
-    l2MissRate() const
-    {
-        return l2_accesses ? double(l2_misses) / double(l2_accesses) : 0.0;
-    }
 };
 
 /**
@@ -131,67 +119,42 @@ class Node : public cpu::CoreMemIf, public coher::CacheSite
     void finalizeStats(Cycles now);
 
     /** Tag-array access for tests and diagnostics. */
-    const mem::CacheArray &l1iArray() const { return l1i_; }
-    const mem::CacheArray &l1dArray() const { return l1d_; }
     const mem::CacheArray &l2Array() const { return l2_; }
 
     void resetStats();
 
-    void
-    saveState(snap::Writer &w) const
-    {
-        l1i_.saveState(w);
-        l1d_.saveState(w);
-        l2_.saveState(w);
-        l1d_mshr_.saveState(w);
-        l2_mshr_.saveState(w);
-        itlb_.saveState(w);
-        dtlb_.saveState(w);
-        sbuf_.saveState(w);
-        l2_port_.saveState(w);
-        w.u64(l1d_port_cycle_);
-        w.u32(l1d_ports_used_);
-        w.u64(stats_.l1i_fetches);
-        w.u64(stats_.l1i_misses);
-        w.u64(stats_.l1i_sbuf_hits);
-        w.u64(stats_.l1d_accesses);
-        w.u64(stats_.l1d_misses);
-        w.u64(stats_.l1d_delayed_hits);
-        w.u64(stats_.l2_accesses);
-        w.u64(stats_.l2_misses);
-        w.u64(stats_.l2_delayed_hits);
-        w.u64(stats_.prefetches_dropped);
-        w.u64(stats_.flush_hints);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        l1i_.restoreState(r);
-        l1d_.restoreState(r);
-        l2_.restoreState(r);
-        l1d_mshr_.restoreState(r);
-        l2_mshr_.restoreState(r);
-        itlb_.restoreState(r);
-        dtlb_.restoreState(r);
-        sbuf_.restoreState(r);
-        l2_port_.restoreState(r);
-        l1d_port_cycle_ = r.u64();
-        l1d_ports_used_ = r.u32();
-        stats_.l1i_fetches = r.u64();
-        stats_.l1i_misses = r.u64();
-        stats_.l1i_sbuf_hits = r.u64();
-        stats_.l1d_accesses = r.u64();
-        stats_.l1d_misses = r.u64();
-        stats_.l1d_delayed_hits = r.u64();
-        stats_.l2_accesses = r.u64();
-        stats_.l2_misses = r.u64();
-        stats_.l2_delayed_hits = r.u64();
-        stats_.prefetches_dropped = r.u64();
-        stats_.flush_hints = r.u64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.nested(s.l1i_);
+        ar.nested(s.l1d_);
+        ar.nested(s.l2_);
+        ar.nested(s.l1d_mshr_);
+        ar.nested(s.l2_mshr_);
+        ar.nested(s.itlb_);
+        ar.nested(s.dtlb_);
+        ar.nested(s.sbuf_);
+        ar.nested(s.l2_port_);
+        ar.u64(s.l1d_port_cycle_);
+        ar.u32(s.l1d_ports_used_);
+        ar.u64(s.stats_.l1i_fetches);
+        ar.u64(s.stats_.l1i_misses);
+        ar.u64(s.stats_.l1i_sbuf_hits);
+        ar.u64(s.stats_.l1d_accesses);
+        ar.u64(s.stats_.l1d_misses);
+        ar.u64(s.stats_.l1d_delayed_hits);
+        ar.u64(s.stats_.l2_accesses);
+        ar.u64(s.stats_.l2_misses);
+        ar.u64(s.stats_.l2_delayed_hits);
+        ar.u64(s.stats_.prefetches_dropped);
+        ar.u64(s.stats_.flush_hints);
+    }
+
     /** L2 access shared by data, ifetch, and stream-buffer prefetch
      *  paths.  Performs the lookup, goes to the fabric on a miss, and
      *  maintains inclusion.  Returns completion time and class. */

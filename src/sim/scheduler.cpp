@@ -110,22 +110,26 @@ Scheduler::nextWake(CpuId cpu) const
     return q.blocked.empty() ? kNever : q.blocked.front().wake_at;
 }
 
+template <class Ar, class Self, class ProcField>
+void
+Scheduler::stateFields(Ar &ar, Self &s, ProcField &&proc)
+{
+    ar.u64(s.block_seq_);
+    ar.fixed(s.queues_, 16, "CPU count", [&](auto &q) {
+        ar.seq(q.ready, 4, proc);
+        ar.seq(q.blocked, 20, [&](auto &e) {
+            ar.u64(e.wake_at);
+            ar.u64(e.seq);
+            proc(e.proc);
+        });
+    });
+}
+
 void
 Scheduler::saveState(snap::Writer &w) const
 {
-    w.u64(block_seq_);
-    w.u64(queues_.size());
-    for (const CpuQueue &q : queues_) {
-        w.u64(q.ready.size());
-        for (const cpu::ProcessContext *p : q.ready)
-            w.u32(p->id());
-        w.u64(q.blocked.size());
-        for (const BlockedEntry &e : q.blocked) {
-            w.u64(e.wake_at);
-            w.u64(e.seq);
-            w.u32(e.proc->id());
-        }
-    }
+    stateFields(w, *this,
+                [&w](const cpu::ProcessContext *p) { w.u32(p->id()); });
 }
 
 void
@@ -133,31 +137,12 @@ Scheduler::restoreState(
     snap::Reader &r,
     const std::function<cpu::ProcessContext *(ProcId)> &resolve)
 {
-    auto resolved = [&resolve](ProcId id) {
-        cpu::ProcessContext *p = resolve(id);
+    stateFields(r, *this, [&](cpu::ProcessContext *&p) {
+        p = resolve(r.u32());
         if (p == nullptr)
             throw snap::SnapshotError("snapshot: unresolvable scheduled "
                                       "process");
-        return p;
-    };
-    block_seq_ = r.u64();
-    if (r.length(16) != queues_.size())
-        throw snap::SnapshotError("snapshot: CPU count mismatch");
-    for (CpuQueue &q : queues_) {
-        q.ready.clear();
-        const std::size_t nr = r.length(4);
-        for (std::size_t i = 0; i < nr; ++i)
-            q.ready.push_back(resolved(r.u32()));
-        q.blocked.clear();
-        const std::size_t nb = r.length(20);
-        for (std::size_t i = 0; i < nb; ++i) {
-            BlockedEntry e;
-            e.wake_at = r.u64();
-            e.seq = r.u64();
-            e.proc = resolved(r.u32());
-            q.blocked.push_back(e);
-        }
-    }
+    });
 }
 
 } // namespace dbsim::sim

@@ -78,8 +78,6 @@ class Scheduler
         return queues_[cpu].blocked.size();
     }
 
-    std::uint32_t numCpus() const { return static_cast<std::uint32_t>(queues_.size()); }
-
     /**
      * Serialize queue membership (as ProcIds) and the blocked heaps'
      * backing vectors verbatim, so a restore reproduces the exact heap
@@ -121,6 +119,10 @@ class Scheduler
     };
 
     void wake(CpuQueue &q, Cycles now);
+
+    /** @p proc(ptr) carries one queued process as its ProcId. */
+    template <class Ar, class Self, class ProcField>
+    static void stateFields(Ar &ar, Self &s, ProcField &&proc);
 
     /** Affinity of @p proc; panics if it was never addProcess()ed. */
     CpuId affinityOf(const cpu::ProcessContext *proc) const;

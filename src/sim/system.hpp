@@ -228,12 +228,6 @@ class System : public cpu::CoreEnvIf
      *  config signature, and a whole-file integrity hash. */
     void restoreCheckpoint(const std::string &path);
 
-    /** Epoch hash samples recorded so far (see state_hash_interval). */
-    const std::vector<EpochHash> &epochHashes() const
-    {
-        return epoch_hashes_;
-    }
-
     /**
      * Attach a protocol mutator to the coherence fabric (tests and the
      * dbsim-diverge bisector only; nullptr detaches).  Caller owns the
@@ -276,6 +270,16 @@ class System : public cpu::CoreEnvIf
      * window.  Panics with a machine-state dump otherwise.
      */
     void verifyQuiesced() const;
+
+    /** The machine-state field list of serializeState()
+     *  (sim/checkpoint.cpp); restoring passes @p with_checker true. */
+    template <class Ar, class Self>
+    static void stateFields(Ar &ar, Self &s, bool with_checker);
+
+    /** Epoch bookkeeping that rides after the machine state in a
+     *  checkpoint file. */
+    template <class Ar, class Self>
+    static void epochFields(Ar &ar, Self &s);
 
     SystemParams params_;
     mem::PageMap page_map_;

@@ -90,33 +90,20 @@ struct TraceRecord
 /** Compact single-line rendering, for debugging and golden tests. */
 std::string toString(const TraceRecord &rec);
 
-/// @{ Checkpoint encoding of a TraceRecord (field-by-field; never memcpy).
-inline void
-saveRecord(snap::Writer &w, const TraceRecord &rec)
+/** Checkpoint field list of a TraceRecord (field-by-field; never
+ *  memcpy); @p rec is const when @p ar is a snap::Writer. */
+template <class Ar, class Rec>
+void
+recordFields(Ar &ar, Rec &rec)
 {
-    w.u64(rec.pc);
-    w.u64(rec.vaddr);
-    w.u64(rec.extra);
-    w.u8(static_cast<std::uint8_t>(rec.op));
-    w.u8(rec.dep1);
-    w.u8(rec.dep2);
-    w.boolean(rec.taken);
+    ar.u64(rec.pc);
+    ar.u64(rec.vaddr);
+    ar.u64(rec.extra);
+    ar.u8(rec.op);
+    ar.u8(rec.dep1);
+    ar.u8(rec.dep2);
+    ar.boolean(rec.taken);
 }
-
-inline TraceRecord
-loadRecord(snap::Reader &r)
-{
-    TraceRecord rec;
-    rec.pc = r.u64();
-    rec.vaddr = r.u64();
-    rec.extra = r.u64();
-    rec.op = static_cast<OpClass>(r.u8());
-    rec.dep1 = r.u8();
-    rec.dep2 = r.u8();
-    rec.taken = r.boolean();
-    return rec;
-}
-/// @}
 
 } // namespace dbsim::trace
 

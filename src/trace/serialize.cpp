@@ -1,12 +1,12 @@
 #include "trace/serialize.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
-#include "common/log.hpp"
+#include "common/snapshot.hpp"
 
 namespace dbsim::trace {
 
@@ -15,41 +15,17 @@ namespace {
 constexpr std::uint32_t kMagic = 0x44425452; // "DBTR"
 constexpr std::uint32_t kVersion = 1;
 
-template <typename T>
-void
-writeScalar(std::ostream &os, T v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-template <typename T>
-T
-readScalar(std::istream &is)
-{
-    T v{};
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    if (!is)
-        throw std::runtime_error("trace::load: truncated stream");
-    return v;
-}
-
 } // namespace
 
 void
 save(std::ostream &os, const std::vector<TraceRecord> &recs)
 {
-    writeScalar(os, kMagic);
-    writeScalar(os, kVersion);
-    writeScalar(os, static_cast<std::uint64_t>(recs.size()));
-    for (const auto &r : recs) {
-        writeScalar(os, r.pc);
-        writeScalar(os, r.vaddr);
-        writeScalar(os, r.extra);
-        writeScalar(os, static_cast<std::uint8_t>(r.op));
-        writeScalar(os, r.dep1);
-        writeScalar(os, r.dep2);
-        writeScalar(os, static_cast<std::uint8_t>(r.taken ? 1 : 0));
-    }
+    snap::Writer w;
+    w.u32(kMagic);
+    w.u32(kVersion);
+    w.seq(recs, 28, [&w](const TraceRecord &r) { recordFields(w, r); });
+    os.write(reinterpret_cast<const char *>(w.bytes().data()),
+             static_cast<std::streamsize>(w.size()));
     if (!os)
         throw std::runtime_error("trace::save: write failure");
 }
@@ -57,26 +33,24 @@ save(std::ostream &os, const std::vector<TraceRecord> &recs)
 std::vector<TraceRecord>
 load(std::istream &is)
 {
-    if (readScalar<std::uint32_t>(is) != kMagic)
-        throw std::runtime_error("trace::load: bad magic");
-    if (readScalar<std::uint32_t>(is) != kVersion)
-        throw std::runtime_error("trace::load: unsupported version");
-    const auto count = readScalar<std::uint64_t>(is);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(is)),
+        std::istreambuf_iterator<char>());
+    snap::Reader r(bytes);
     std::vector<TraceRecord> recs;
-    recs.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceRecord r;
-        r.pc = readScalar<Addr>(is);
-        r.vaddr = readScalar<Addr>(is);
-        r.extra = readScalar<std::uint64_t>(is);
-        const auto op = readScalar<std::uint8_t>(is);
-        if (op >= kNumOpClasses)
-            throw std::runtime_error("trace::load: bad op class");
-        r.op = static_cast<OpClass>(op);
-        r.dep1 = readScalar<std::uint8_t>(is);
-        r.dep2 = readScalar<std::uint8_t>(is);
-        r.taken = readScalar<std::uint8_t>(is) != 0;
-        recs.push_back(r);
+    try {
+        if (r.u32() != kMagic)
+            throw std::runtime_error("trace::load: bad magic");
+        if (r.u32() != kVersion)
+            throw std::runtime_error("trace::load: unsupported version");
+        r.seq(recs, 28, [&r](TraceRecord &rec) {
+            recordFields(r, rec);
+            if (static_cast<unsigned>(rec.op) >= kNumOpClasses)
+                throw std::runtime_error("trace::load: bad op class");
+        });
+    } catch (const snap::SnapshotError &) {
+        // A short read, or a count the remaining bytes cannot hold.
+        throw std::runtime_error("trace::load: truncated stream");
     }
     return recs;
 }

@@ -3,7 +3,8 @@
  * Binary save/load of trace-record streams.
  *
  * The on-disk format is a small header (magic, version, count) followed by
- * packed little-endian records.  Used for golden traces in tests and for
+ * packed little-endian records, each encoded by trace::recordFields (the
+ * checkpoint field list).  Used for golden traces in tests and for
  * capturing workload-engine output for offline inspection.
  */
 

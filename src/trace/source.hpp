@@ -79,11 +79,10 @@ class VectorSource : public TraceSource
     void
     restoreState(snap::Reader &r) override
     {
-        const std::uint64_t pos = r.u64();
-        if (pos > recs_.size())
+        r.u64(pos_);
+        if (pos_ > recs_.size())
             throw snap::SnapshotError("snapshot: VectorSource position "
                                       "beyond backing vector");
-        pos_ = static_cast<std::size_t>(pos);
     }
 
   private:
@@ -115,21 +114,18 @@ class LimitSource : public TraceSource
 
     std::uint64_t delivered() const { return delivered_; }
 
-    void
-    saveState(snap::Writer &w) const override
-    {
-        w.u64(delivered_);
-        inner_->saveState(w);
-    }
-
-    void
-    restoreState(snap::Reader &r) override
-    {
-        delivered_ = r.u64();
-        inner_->restoreState(r);
-    }
+    void saveState(snap::Writer &w) const override { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) override { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u64(s.delivered_);
+        ar.nested(*s.inner_);
+    }
+
     std::unique_ptr<TraceSource> inner_;
     std::uint64_t limit_;
     std::uint64_t delivered_ = 0;
@@ -155,37 +151,25 @@ class GeneratingSource : public TraceSource
         return true;
     }
 
-    /**
-     * Serialize the pending burst buffer.  Derived generators chain
-     * these from their overrides before their own generator state.
-     */
-    void
-    saveState(snap::Writer &w) const override
-    {
-        w.u64(buffer_.size());
-        for (const TraceRecord &rec : buffer_)
-            saveRecord(w, rec);
-        w.boolean(done_);
-    }
-
-    void
-    restoreState(snap::Reader &r) override
-    {
-        buffer_.clear();
-        const std::size_t n = r.length(28);
-        for (std::size_t i = 0; i < n; ++i)
-            buffer_.push_back(loadRecord(r));
-        done_ = r.boolean();
-    }
-
   protected:
+    /**
+     * Field list of the pending burst buffer.  Derived generators list
+     * it first in their own stateFields, before their generator state.
+     */
+    template <class Ar, class Self>
+    static void
+    bufferFields(Ar &ar, Self &s)
+    {
+        ar.seq(s.buffer_, 28, [&](auto &rec) { recordFields(ar, rec); });
+        ar.boolean(s.done_);
+    }
+
     /** Generate at least one more record via emit(), or call finish(). */
     // dbsim-analyze: allow(hotpath-virtual) -- refill() batches: one dispatch amortized over a buffer of records
     virtual void refill() = 0;
 
     void emit(const TraceRecord &rec) { buffer_.push_back(rec); }
     void finish() { done_ = true; }
-    bool finished() const { return done_; }
 
   private:
     std::deque<TraceRecord> buffer_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/breakdown.hpp"
@@ -215,6 +216,39 @@ appendRange01(std::vector<std::string> &issues, const char *what, double v)
         os << what << " out of [0,1]: " << v;
         issues.push_back(os.str());
     }
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/**
+ * Save @p sys next to @p restored_path and compare the two checkpoint
+ * files.  Returns "" when they are byte-identical, else names the
+ * first differing byte offset: restore dropped or misread a field.
+ */
+std::string
+resaveDifference(const sim::System &sys, const std::string &restored_path)
+{
+    const std::string resaved_path = restored_path + ".resave";
+    sys.saveCheckpoint(resaved_path);
+    const std::string restored = readBytes(restored_path);
+    const std::string resaved = readBytes(resaved_path);
+    std::remove(resaved_path.c_str());
+    if (restored == resaved)
+        return "";
+    const auto first = std::mismatch(restored.begin(), restored.end(),
+                                     resaved.begin(), resaved.end());
+    std::ostringstream os;
+    os << "re-saving the restored machine differs from the checkpoint it "
+          "was restored from at byte offset "
+       << (first.first - restored.begin()) << " (" << restored.size()
+       << " vs " << resaved.size() << " bytes)";
+    return os.str();
 }
 
 } // namespace
@@ -500,7 +534,8 @@ checkCheckpointRoundTrip(const core::SimConfig &cfg,
                          std::uint64_t corrupt_offset)
 {
     // Re-run the config to its midpoint, checkpoint there, restore into
-    // a fresh machine, finish, and demand the same final artifacts an
+    // a fresh machine and re-save it (the bytes must not change: restore
+    // is exact), finish, and demand the same final artifacts an
     // uninterrupted run produces.
     RunArtifacts ref;
     try {
@@ -552,6 +587,10 @@ checkCheckpointRoundTrip(const core::SimConfig &cfg,
                 OracleKind::CheckpointRoundTrip,
                 "restore refused a checkpoint written moments earlier "
                 "(corrupt or incompatible file)");
+        } else if (const std::string diff =
+                       resaveDifference(resumed.system(), scratch_path);
+                   !diff.empty()) {
+            out = failVerdict(OracleKind::CheckpointRoundTrip, diff);
         } else {
             const sim::RunResult r = resumed.run();
             RunArtifacts got = collectArtifacts(resumed, cfg, r);

@@ -196,10 +196,12 @@ OracleVerdict checkDeterminism(const Engine &eng, const core::SimConfig &cfg,
 
 /**
  * Checkpoint round-trip oracle.  @p scratch_path names the checkpoint
- * file to use (created and removed here).  When @p corrupt_offset is
- * nonzero the byte at that file offset (modulo file size) is flipped
- * after the save -- the seeded checkpoint-corruption bug for teeth
- * tests; the oracle must then fail with a refused restore.
+ * file to use (created and removed here).  The restored machine is
+ * re-saved at once and must reproduce the file byte for byte; the
+ * finished run must then match an uninterrupted one.  When
+ * @p corrupt_offset is nonzero the byte at that file offset (modulo file
+ * size) is flipped after the save -- the seeded checkpoint-corruption
+ * bug for teeth tests; the oracle must then fail with a refused restore.
  */
 OracleVerdict checkCheckpointRoundTrip(const core::SimConfig &cfg,
                                        const std::string &scratch_path,

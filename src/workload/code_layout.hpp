@@ -53,11 +53,9 @@ class CodeLayout
     std::uint32_t routineInstrs(std::uint32_t r) const { return sizes_.at(r); }
 
     Addr base() const { return base_; }
-    std::uint64_t footprintBytes() const { return footprint_; }
 
   private:
     Addr base_;
-    std::uint64_t footprint_;
     std::vector<Addr> starts_;
     std::vector<std::uint32_t> sizes_;
 };
@@ -129,45 +127,28 @@ class TraceBuilder
     /** Total records emitted so far. */
     std::uint64_t emitted() const { return emitted_; }
 
-    /** Current call depth (for tests). */
-    std::size_t depth() const { return stack_.size(); }
-
     /**
      * Walk position only; the code layout, RNG, and sink are rebound at
      * construction (the owning engine serializes its RNG itself).
      */
-    void
-    saveState(snap::Writer &w) const
-    {
-        w.u32(cur_routine_);
-        w.u64(pc_);
-        w.u64(stack_.size());
-        for (const Frame &f : stack_) {
-            w.u32(f.routine);
-            w.u64(f.return_pc);
-        }
-        w.u64(emitted_);
-        w.f64(branch_credit_);
-    }
-
-    void
-    restoreState(snap::Reader &r)
-    {
-        cur_routine_ = r.u32();
-        pc_ = r.u64();
-        stack_.clear();
-        const std::size_t n = r.length(12);
-        for (std::size_t i = 0; i < n; ++i) {
-            Frame f;
-            f.routine = r.u32();
-            f.return_pc = r.u64();
-            stack_.push_back(f);
-        }
-        emitted_ = r.u64();
-        branch_credit_ = r.f64();
-    }
+    void saveState(snap::Writer &w) const { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.u32(s.cur_routine_);
+        ar.u64(s.pc_);
+        ar.seq(s.stack_, 12, [&](auto &f) {
+            ar.u32(f.routine);
+            ar.u64(f.return_pc);
+        });
+        ar.u64(s.emitted_);
+        ar.f64(s.branch_credit_);
+    }
+
     void emit(trace::TraceRecord rec);
     void fillerOp();
     void advancePc();

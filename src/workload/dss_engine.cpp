@@ -22,25 +22,8 @@ class DssProcessSource : public trace::GeneratingSource
     }
 
   public:
-    void
-    saveState(snap::Writer &w) const override
-    {
-        GeneratingSource::saveState(w);
-        rng_.saveState(w);
-        builder_.saveState(w);
-        w.u32(next_block_);
-        w.u32(end_block_);
-    }
-
-    void
-    restoreState(snap::Reader &r) override
-    {
-        GeneratingSource::restoreState(r);
-        rng_.restoreState(r);
-        builder_.restoreState(r);
-        next_block_ = r.u32();
-        end_block_ = r.u32();
-    }
+    void saveState(snap::Writer &w) const override { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) override { stateFields(r, *this); }
 
   protected:
     void
@@ -54,6 +37,17 @@ class DssProcessSource : public trace::GeneratingSource
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        bufferFields(ar, s);
+        ar.nested(s.rng_);
+        ar.nested(s.builder_);
+        ar.u32(s.next_block_);
+        ar.u32(s.end_block_);
+    }
+
     void
     scanBlock(std::uint32_t blk)
     {

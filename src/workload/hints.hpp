@@ -56,32 +56,22 @@ class HintInserter : public trace::TraceSource
     std::uint64_t prefetchesInserted() const { return prefetches_; }
     std::uint64_t flushesInserted() const { return flushes_; }
 
-    void
-    saveState(snap::Writer &w) const override
-    {
-        w.u64(out_.size());
-        for (const trace::TraceRecord &rec : out_)
-            saveRecord(w, rec);
-        w.boolean(inner_done_);
-        w.u64(prefetches_);
-        w.u64(flushes_);
-        inner_->saveState(w);
-    }
-
-    void
-    restoreState(snap::Reader &r) override
-    {
-        out_.clear();
-        const std::size_t n = r.length(28);
-        for (std::size_t i = 0; i < n; ++i)
-            out_.push_back(trace::loadRecord(r));
-        inner_done_ = r.boolean();
-        prefetches_ = r.u64();
-        flushes_ = r.u64();
-        inner_->restoreState(r);
-    }
+    void saveState(snap::Writer &w) const override { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) override { stateFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        ar.seq(s.out_, 28,
+               [&](auto &rec) { trace::recordFields(ar, rec); });
+        ar.boolean(s.inner_done_);
+        ar.u64(s.prefetches_);
+        ar.u64(s.flushes_);
+        ar.nested(*s.inner_);
+    }
+
     bool hotLock(Addr addr) const;
     void transformSection(std::vector<trace::TraceRecord> &section);
     bool pump(); ///< pull from inner into out_; false when exhausted

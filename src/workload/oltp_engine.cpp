@@ -21,32 +21,25 @@ class OltpProcessSource : public trace::GeneratingSource
     }
 
   public:
-    void
-    saveState(snap::Writer &w) const override
-    {
-        GeneratingSource::saveState(w);
-        rng_.saveState(w);
-        builder_.saveState(w);
-        w.u64(txns_);
-        w.u64(hist_seq_);
-        w.u64(log_off_);
-    }
-
-    void
-    restoreState(snap::Reader &r) override
-    {
-        GeneratingSource::restoreState(r);
-        rng_.restoreState(r);
-        builder_.restoreState(r);
-        txns_ = r.u64();
-        hist_seq_ = r.u64();
-        log_off_ = r.u64();
-    }
+    void saveState(snap::Writer &w) const override { stateFields(w, *this); }
+    void restoreState(snap::Reader &r) override { stateFields(r, *this); }
 
   protected:
     void refill() override { transaction(); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    stateFields(Ar &ar, Self &s)
+    {
+        bufferFields(ar, s);
+        ar.nested(s.rng_);
+        ar.nested(s.builder_);
+        ar.u64(s.txns_);
+        ar.u64(s.hist_seq_);
+        ar.u64(s.log_off_);
+    }
+
     /** Load/compute mixture standing in for interpreter/parse work. */
     void
     routineWork()

@@ -13,11 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -33,6 +37,23 @@ using namespace dbsim;
 using core::SimConfig;
 using core::Simulation;
 using core::WorkloadKind;
+
+using IdMap = std::unordered_map<std::uint64_t, std::uint32_t>;
+using IdSet = std::unordered_set<std::uint64_t>;
+
+/** A field list over every container helper, shared by both streams. */
+template <class Ar, class Seq, class Fixed, class Map, class Set>
+void
+containerFields(Ar &ar, Seq &seq, Fixed &fixed, Map &map, Set &set)
+{
+    ar.seq(seq, 4, [&](auto &v) { ar.u32(v); });
+    ar.fixed(fixed, 1, "test geometry", [&](auto &v) { ar.u8(v); });
+    ar.sortedMap(map, 12, [&](auto &k, auto &v) {
+        ar.u64(k);
+        ar.u32(v);
+    });
+    ar.sortedSet(set, 8, [&](auto &k) { ar.u64(k); });
+}
 
 std::string
 tmpPath(const std::string &name)
@@ -102,6 +123,13 @@ TEST(Snapshot, WriterReaderRoundTrip)
     w.f64(-0.0);
     w.str("checkpoint");
     w.str("");
+    const std::vector<std::uint32_t> seq_in{3, 1, 4};
+    const std::vector<std::uint8_t> fixed_in{9, 8};
+    IdMap map_in;
+    for (std::uint64_t k = 0; k < 40; ++k)
+        map_in[k * 7919] = static_cast<std::uint32_t>(k);
+    const IdSet set_in{30, 10, 20};
+    containerFields(w, seq_in, fixed_in, map_in, set_in);
 
     snap::Reader r(w.bytes().data(), w.size());
     EXPECT_EQ(r.u8(), 7u);
@@ -116,7 +144,28 @@ TEST(Snapshot, WriterReaderRoundTrip)
     EXPECT_DOUBLE_EQ(r.f64(), -0.0);
     EXPECT_EQ(r.str(), "checkpoint");
     EXPECT_EQ(r.str(), "");
+    std::vector<std::uint32_t> seq_out{7, 7, 7, 7, 7}; // refilled, not appended
+    std::vector<std::uint8_t> fixed_out(fixed_in.size());
+    IdMap map_out{{1, 1}};
+    IdSet set_out{99};
+    containerFields(r, seq_out, fixed_out, map_out, set_out);
+    EXPECT_EQ(seq_out, seq_in);
+    EXPECT_EQ(fixed_out, fixed_in);
+    EXPECT_EQ(map_out, map_in);
+    EXPECT_EQ(set_out, set_in);
     EXPECT_TRUE(r.atEnd());
+
+    // Unordered containers serialize in key order, whatever the
+    // insertion order or bucket layout: the same bytes as the tail of w.
+    IdMap map_rev;
+    map_rev.reserve(1024);
+    for (std::uint64_t k = 40; k-- > 0;)
+        map_rev[k * 7919] = static_cast<std::uint32_t>(k);
+    const IdSet set_rev{20, 30, 10};
+    snap::Writer again;
+    containerFields(again, seq_in, fixed_in, map_rev, set_rev);
+    EXPECT_TRUE(std::equal(again.bytes().begin(), again.bytes().end(),
+                           w.bytes().end() - again.size()));
 }
 
 TEST(Snapshot, TruncatedStreamThrows)
@@ -133,6 +182,31 @@ TEST(Snapshot, ImplausibleContainerLengthThrows)
     w.u64(1ull << 40); // a "length" far beyond the stream's bytes
     snap::Reader r(w.bytes().data(), w.size());
     EXPECT_THROW(r.length(8), snap::SnapshotError);
+
+    // Every container helper checks the length before allocating.
+    std::vector<std::uint32_t> seq;
+    std::vector<std::uint8_t> fixed;
+    IdMap map;
+    IdSet set;
+    const auto any = [](auto &...) {};
+    const auto reader = [&w] { return snap::Reader(w.bytes()); };
+    EXPECT_THROW(reader().seq(seq, 4, any), snap::SnapshotError);
+    EXPECT_THROW(reader().fixed(fixed, 1, "test", any), snap::SnapshotError);
+    EXPECT_THROW(reader().sortedMap(map, 12, any), snap::SnapshotError);
+    EXPECT_THROW(reader().sortedSet(set, 8, any), snap::SnapshotError);
+
+    // A fixed-geometry container whose stored size differs names itself.
+    snap::Writer two;
+    const std::vector<std::uint8_t> saved{1, 2};
+    two.fixed(saved, 1, "test geometry", [&two](auto v) { two.u8(v); });
+    std::vector<std::uint8_t> three(3);
+    snap::Reader in(two.bytes());
+    try {
+        in.fixed(three, 1, "test geometry", [&in](auto &v) { in.u8(v); });
+        ADD_FAILURE() << "fixed() accepted a size mismatch";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_STREQ(e.what(), "snapshot: test geometry mismatch");
+    }
 }
 
 TEST(Snapshot, IdenticalStatesHashIdentically)
@@ -295,6 +369,31 @@ TEST(Checkpoint, CorruptFileIsRejected)
     SimConfig clean = smallConfig(WorkloadKind::Dss, 1);
     Simulation b(clean);
     EXPECT_FALSE(b.restoreFromCheckpoint(ckpt));
+
+    // An intact trailer over machine state that stops part-way: restore
+    // throws after overwriting some components, and the item must then
+    // run on a fresh machine, not on the half-restored one.
+    Simulation(cfg).run();
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(ckpt, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    bytes.resize((bytes.size() - 8) * 9 / 10);
+    snap::Writer cut;
+    for (std::uint8_t byte : bytes)
+        cut.u8(byte);
+    cut.u64(cut.hash());
+    std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char *>(cut.bytes().data()),
+               static_cast<std::streamsize>(cut.size()));
+    Simulation half(clean);
+    EXPECT_FALSE(half.restoreFromCheckpoint(ckpt));
+    EXPECT_EQ(half.system().now(), 0u);
+    const FullRun got{half.run(), sim::machineStateDump(half.system()),
+                      half.system().stateHash()};
+    expectSameOutcome(runFull(clean), got);
     std::remove(ckpt.c_str());
 
     // And a missing file is silently "no checkpoint yet".

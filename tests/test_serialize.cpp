@@ -133,6 +133,11 @@ TEST(Serialize, RejectsCountPastEndOfStream)
     std::uint64_t huge = 1u << 20;
     std::memcpy(&bytes[8], &huge, sizeof(huge));
     expectLoadError(bytes, "truncated stream");
+    // A count no allocation could hold is truncation too, not an
+    // escaping std::length_error or bad_alloc.
+    huge = 1ull << 62;
+    std::memcpy(&bytes[8], &huge, sizeof(huge));
+    expectLoadError(bytes, "truncated stream");
 }
 
 TEST(Serialize, LoadFileRejectsMissingPath)

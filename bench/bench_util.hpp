@@ -11,7 +11,7 @@
  *   --jobs N              bound the number of concurrent simulations
  *                         (default: DBSIM_JOBS, then hardware concurrency)
  *   --json PATH           write every section's results as machine-readable
- *                         JSON (schema dbsim-bench-v3)
+ *                         JSON (schema dbsim-bench-v4)
  *   --journal PATH        incremental journal of finished items (default:
  *                         <bench>.journal.jsonl; "none" disables)
  *   --resume PATH         replay completed items from PATH, re-run only

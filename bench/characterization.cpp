@@ -66,8 +66,7 @@ characterizeOne(bench::BenchContext &ctx, core::WorkloadKind kind,
               << (c.total_l2_misses ? double(c.dirty_misses) /
                                           double(c.total_l2_misses)
                                     : 0.0)
-              << "\n"
-              << "sim Minstr / host-sec " << res.sim_ips / 1e6 << "\n";
+              << "\n";
 
     const auto rows = bench::rowsOf(results);
     std::cout << "\n";

@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's own hot paths:
- * cache array lookups, MSHR file operations, branch prediction, trace
- * generation, and end-to-end simulated instructions per wall second.
- * These guard the simulator's performance, not the paper's results.
+ * cache array lookups, MSHR file operations, branch prediction, the
+ * scheduler, and trace generation.  End-to-end simulator speed is
+ * measured by simbench/.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include "memory/cache.hpp"
 #include "memory/mshr.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/system.hpp"
 #include "workload/oltp_engine.hpp"
 
 using namespace dbsim;
@@ -131,26 +130,6 @@ BM_OltpTraceGen(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OltpTraceGen);
-
-void
-BM_EndToEndOltp(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::SystemParams sp;
-        sp.num_nodes = 1;
-        sim::System sys(sp);
-        workload::OltpParams p;
-        p.num_procs = 2;
-        workload::OltpWorkload wl(p);
-        for (ProcId i = 0; i < 2; ++i)
-            sys.addProcess(wl.makeProcess(i), 0);
-        const auto res = sys.run(20000, 0);
-        benchmark::DoNotOptimize(res.cycles);
-        state.SetItemsProcessed(state.items_processed() +
-                                static_cast<std::int64_t>(res.instructions));
-    }
-}
-BENCHMARK(BM_EndToEndOltp)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

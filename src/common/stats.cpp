@@ -1,21 +1,8 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace dbsim::stats {
-
-double
-Histogram::fracAtLeast(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t b = i; b < counts_.size(); ++b)
-        acc += counts_[b];
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
 
 void
 OccupancyTracker::advance(Cycles now, std::uint32_t in_use)
@@ -62,31 +49,6 @@ OccupancyTracker::reset()
     std::fill(time_at_.begin(), time_at_.end(), Cycles{0});
     last_ = 0;
     current_ = 0;
-}
-
-std::string
-formatTable(const std::vector<NamedValue> &rows)
-{
-    std::size_t width = 0;
-    for (const auto &r : rows)
-        width = std::max(width, r.name.size());
-    std::ostringstream os;
-    for (const auto &r : rows) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%12.4f", r.value);
-        os << r.name;
-        os << std::string(width - r.name.size() + 2, ' ');
-        os << buf << '\n';
-    }
-    return os.str();
-}
-
-std::string
-pct(double fraction)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f%%", fraction * 100.0);
-    return buf;
 }
 
 } // namespace dbsim::stats

@@ -1,78 +1,22 @@
 /**
  * @file
- * A small statistics package: counters, ratios, histograms, and
- * occupancy distributions, with uniform text formatting.
+ * Occupancy distributions over simulated time (the MSHR occupancy
+ * curves of the paper's Figure 2).
  *
- * Components own their stats as plain members of these types; the system
- * aggregates and prints them.  There is deliberately no global registry.
+ * Components own their stats as plain members; the system aggregates
+ * and prints them.  There is deliberately no global registry.
  */
 
 #ifndef DBSIM_COMMON_STATS_HPP
 #define DBSIM_COMMON_STATS_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
 
 namespace dbsim::stats {
-
-/**
- * A histogram over a fixed number of integer-indexed buckets with an
- * overflow bucket.  Used e.g. for stream lengths and queue depths.
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::size_t buckets = 16) : counts_(buckets + 1, 0) {}
-
-    void
-    sample(std::uint64_t value, std::uint64_t weight = 1)
-    {
-        const std::size_t idx =
-            value >= counts_.size() - 1 ? counts_.size() - 1
-                                        : static_cast<std::size_t>(value);
-        counts_[idx] += weight;
-        total_ += weight;
-        sum_ += value * weight;
-    }
-
-    std::uint64_t total() const { return total_; }
-    double mean() const { return total_ ? double(sum_) / double(total_) : 0.0; }
-    std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::size_t buckets() const { return counts_.size(); }
-
-    /** Fraction of samples with value >= i (for occupancy curves). */
-    double fracAtLeast(std::size_t i) const;
-
-    void
-    reset()
-    {
-        for (auto &c : counts_)
-            c = 0;
-        total_ = sum_ = 0;
-    }
-
-    void saveState(snap::Writer &w) const { stateFields(w, *this); }
-    void restoreState(snap::Reader &r) { stateFields(r, *this); }
-
-  private:
-    template <class Ar, class Self>
-    static void
-    stateFields(Ar &ar, Self &s)
-    {
-        ar.fixed(s.counts_, 8, "histogram bucket",
-                 [&](auto &c) { ar.u64(c); });
-        ar.u64(s.total_);
-        ar.u64(s.sum_);
-    }
-
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-    std::uint64_t sum_ = 0;
-};
 
 /**
  * Tracks, over simulated time, how many units of a resource are in use,
@@ -127,19 +71,6 @@ class OccupancyTracker
     Cycles last_ = 0;
     std::uint32_t current_ = 0;
 };
-
-/** A named scalar for report tables. */
-struct NamedValue
-{
-    std::string name;
-    double value;
-};
-
-/** Render "name value" lines with aligned columns. */
-std::string formatTable(const std::vector<NamedValue> &rows);
-
-/** Percentage with one decimal, e.g. 12.3%. */
-std::string pct(double fraction);
 
 } // namespace dbsim::stats
 

@@ -228,11 +228,6 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index) const
                                  : kDefaultCheckpointInterval;
     }
 
-    // Annotated host-timing code: wall_seconds / sim_ips report *host*
-    // throughput and are excluded from determinism comparisons
-    // (tools/compare_reports.py ignores exactly these fields).
-    // dbsim-analyze: allow(determinism-wallclock)
-    const auto t0 = std::chrono::steady_clock::now();
     Simulation simulation(out.cfg);
     // Continue from the item's checkpoint when resuming: a fresh
     // deadline plus the already-simulated prefix is what lets a
@@ -245,8 +240,6 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index) const
         }
     }
     out.run = simulation.run();
-    // dbsim-analyze: allow(determinism-wallclock)
-    const auto t1 = std::chrono::steady_clock::now();
 
     out.ch = simulation.characterize();
     auto &n0 = simulation.system().node(0);
@@ -272,13 +265,6 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index) const
     out.migratory.dirty_read_fraction = ms.dirtyReadFraction();
     out.migratory.line_concentration_70 = mig.lineConcentration(0.70);
     out.migratory.pc_concentration_75 = mig.pcConcentration(0.75);
-
-    out.wall_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    out.sim_ips = out.wall_seconds > 0.0
-                      ? static_cast<double>(out.run.instructions) /
-                            out.wall_seconds
-                      : 0.0;
     return out;
 }
 
@@ -455,8 +441,6 @@ writeResultBody(JsonWriter &w, const SweepResult &r)
     w.kv("cycles", static_cast<std::uint64_t>(r.run.cycles));
     w.kv("instructions", r.run.instructions);
     w.kv("ipc", r.run.ipc);
-    w.kv("wall_seconds", r.wall_seconds);
-    w.kv("sim_instructions_per_host_second", r.sim_ips);
     w.kv("context_switches", r.context_switches);
 
     w.key("breakdown").beginObject();
@@ -506,8 +490,7 @@ writeResultBody(JsonWriter &w, const SweepResult &r)
     // Epoch state-hash series: [cycle, hash] pairs.  Hashes are 64-bit
     // and JSON numbers are not, so they render as hex strings.  Always
     // present (empty when state hashing is disabled), so the report
-    // schema is stable and compare_reports.py sees the field on both
-    // sides.
+    // schema is stable.
     w.key("epoch_hashes").beginArray();
     for (const sim::EpochHash &eh : r.run.epoch_hashes) {
         std::ostringstream hex;
@@ -553,7 +536,7 @@ writeSweepJson(std::ostream &os, const SweepReport &report)
 {
     JsonWriter w(os);
     w.beginObject();
-    w.kv("schema", "dbsim-bench-v3");
+    w.kv("schema", "dbsim-bench-v4");
     w.kv("bench", report.bench);
     w.kv("jobs", static_cast<std::uint64_t>(report.jobs));
     w.kv("failure_policy", report.failure_policy);

@@ -75,8 +75,8 @@ struct MigratorySummary
 
 /**
  * Everything the reporting layer needs from one configuration run.
- * Simulated statistics are deterministic in the configuration; only
- * wall_seconds / sim_ips depend on the host.
+ * Every field is deterministic in the configuration: nothing here
+ * depends on the host.
  */
 struct SweepResult
 {
@@ -93,8 +93,6 @@ struct SweepResult
     stats::OccupancyTracker l2_occ{64};
     stats::OccupancyTracker l2_read_occ{64};
     MigratorySummary migratory;
-    double wall_seconds = 0.0; ///< host time spent simulating this config
-    double sim_ips = 0.0;      ///< simulated instructions per host second
 
     /** The figure row for the text reports. */
     BreakdownRow
@@ -314,16 +312,16 @@ class SweepRunner
 };
 
 // ---------------------------------------------------------------------
-// Report (schema dbsim-bench-v3)
+// Report (schema dbsim-bench-v4)
 // ---------------------------------------------------------------------
 
 /**
  * Accumulates sweep results across a bench's sections for the --json
- * report.  The emitted document is schema "dbsim-bench-v3": every
+ * report.  The emitted document is schema "dbsim-bench-v4": every
  * result is one compact entry object (section/label/index/status, then
  * the metrics, or an error object for failures), so a journal line and
- * a report entry are the same bytes -- the property the resume path's
- * field-exactness rests on.
+ * a report entry are the same bytes -- the property a resumed report's
+ * byte equality with an uninterrupted one rests on.
  */
 struct SweepReport
 {
@@ -349,12 +347,12 @@ struct SweepReport
  * Render one report entry as a compact, single-line JSON object --
  * exactly the text that goes into both the journal and the report's
  * results array.  Deterministic: identical outcomes render to identical
- * bytes (modulo the wall-clock fields' values).
+ * bytes.
  */
 std::string renderSweepEntryJson(const std::string &section,
                                  const SweepItemOutcome &outcome);
 
-/** Emit the full report as JSON (schema dbsim-bench-v3). */
+/** Emit the full report as JSON (schema dbsim-bench-v4). */
 void writeSweepJson(std::ostream &os, const SweepReport &report);
 
 /**

@@ -262,8 +262,7 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
 
     if (have_base) {
         applyArtifactFault(base, opts.inject_fault);
-        if (opts.oracle_conservation)
-            record(checkConservation(cfg, base));
+        record(checkConservation(cfg, base));
         // A seeded artifact fault corrupts `base` after collection, so
         // a re-run would trivially mismatch it: skip determinism then,
         // keeping the conservation verdict alone in the triage bucket.
@@ -389,7 +388,6 @@ renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep)
     w.kv("max_instructions", opts.space.max_instructions);
     w.endObject();
     w.key("oracles").beginObject();
-    w.kv("conservation", opts.oracle_conservation);
     w.kv("determinism", opts.oracle_determinism);
     w.kv("checkpoint", opts.oracle_checkpoint);
     w.kv("coherence", opts.oracle_coherence);

@@ -53,7 +53,8 @@ struct FuzzOptions
     std::string repro_dir;       ///< write repro-<hash>.json here ("" = off)
     std::string scratch_dir = ".";  ///< checkpoint scratch files
 
-    bool oracle_conservation = true;
+    /** The crash and conservation oracles always run; these toggle the
+     *  others. */
     bool oracle_determinism = true;
     bool oracle_checkpoint = true;
     bool oracle_coherence = true;

@@ -7,8 +7,8 @@
  * final report, machine-state dump, and epoch-hash series identical to
  * an uninterrupted run's -- for both workloads, at 1 and 4 nodes, and
  * at any checkpoint interval.  (The cross-process version of the same
- * property -- kill -9 a sweep, restart with --resume, compare reports --
- * runs in the CI checkpoint job via tools/compare_reports.py.)
+ * property -- kill -9 a sweep, restart with --resume, compare the
+ * reports with cmp -- runs in the CI checkpoint job.)
  */
 
 #include <gtest/gtest.h>

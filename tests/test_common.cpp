@@ -149,38 +149,6 @@ TEST(Rng, ForkIndependent)
     EXPECT_LT(same, 5);
 }
 
-TEST(Histogram, BasicAccumulation)
-{
-    stats::Histogram h(8);
-    h.sample(0);
-    h.sample(3);
-    h.sample(3);
-    h.sample(100); // overflow bucket
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bucket(3), 2u);
-    EXPECT_EQ(h.bucket(8), 1u);
-}
-
-TEST(Histogram, FracAtLeast)
-{
-    stats::Histogram h(8);
-    for (int i = 0; i < 6; ++i)
-        h.sample(1);
-    for (int i = 0; i < 4; ++i)
-        h.sample(4);
-    EXPECT_DOUBLE_EQ(h.fracAtLeast(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.fracAtLeast(2), 0.4);
-    EXPECT_DOUBLE_EQ(h.fracAtLeast(5), 0.0);
-}
-
-TEST(Histogram, Mean)
-{
-    stats::Histogram h(16);
-    h.sample(2);
-    h.sample(4);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-}
-
 TEST(OccupancyTracker, FractionAtLeast)
 {
     stats::OccupancyTracker occ(4);
@@ -270,12 +238,6 @@ TEST(LogSink, ParallelWarningsLandAsWholeLines)
     EXPECT_TRUE(lines == expected)
         << lines.size() << " lines captured for " << expected.size()
         << " warnings; some lines are torn or interleaved";
-}
-
-TEST(Stats, PctFormatting)
-{
-    EXPECT_EQ(stats::pct(0.1234), "12.3%");
-    EXPECT_EQ(stats::pct(1.0), "100.0%");
 }
 
 } // namespace

@@ -5,11 +5,12 @@
  * bit, so a refactor that moves any simulated number fails Tier-1.
  *
  * The configs are the three simbench workloads at seed 1 (built as
- * simbench's workloadConfig builds them) and one point of each paper
- * figure (Figs 2-7), at reduced budgets.  Together they cover SC, PC and
- * RC with and without window prefetch and speculative loads, the
- * in-order core, perfect structures, one and four nodes, the
- * instruction stream buffer and the flush+prefetch software hints.
+ * simbench's workloadConfig builds them), the four perf_smoke machines
+ * and one point of each paper figure (Figs 2-7), at reduced budgets.
+ * Together they cover SC, PC and RC with and without window prefetch
+ * and speculative loads, the in-order core, perfect structures, one and
+ * four nodes, the instruction stream buffer and the flush+prefetch
+ * software hints.
  *
  * The fingerprint is verify::renderArtifacts: cycles, instructions, the
  * breakdown, the characterization, fabric and node counters, the final
@@ -107,6 +108,18 @@ const GoldenCase kCases[] = {
          SimConfig cfg = core::makeScaledConfig(WorkloadKind::Dss, 1);
          cfg.dss.seed = 1;
          return reduced(cfg, 400'000);
+     }},
+    // perf_smoke's DSS machines at their default seed.  Its OLTP-4node
+    // is simbench_oltp_4node and its OLTP-1node fig5_oltp_uniprocessor.
+    {"perf_smoke_dss_1node",
+     [] {
+         return reduced(core::makeScaledConfig(WorkloadKind::Dss, 1),
+                        400'000);
+     }},
+    {"perf_smoke_dss_4node",
+     [] {
+         return reduced(core::makeScaledConfig(WorkloadKind::Dss, 4),
+                        400'000);
      }},
     // Fig 2(a): the in-order, single-issue baseline.
     {"fig2_oltp_inorder_1way",
